@@ -1,5 +1,6 @@
-//! Criterion benches for the relay data plane: packets/sec through
-//! `RelayNode::handle_packet` and the cost of the timer `poll`, at
+//! Criterion benches for the relay data plane: packets/sec through a
+//! one-shard `ShardedRelay::handle_packet` (the bare engine: its router
+//! short-circuits) and the cost of the timer `poll`, at
 //! 1 / 64 / 1024 concurrent flows (the §7.1 per-node multi-flow daemon,
 //! scaled toward the ROADMAP's "millions of users" north star), plus a
 //! multi-threaded sharded scaling run: the same message stream pushed
@@ -23,8 +24,8 @@ use std::time::{Duration, Instant};
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use slicing_core::{
-    DataMode, DestPlacement, GraphParams, OverlayAddr, Packet, RelayNode, RelayShard,
-    ShardedRelay, SourceSession, Tick,
+    DataMode, DestPlacement, GraphParams, OverlayAddr, Packet, RelayShard, ShardedRelay,
+    SourceSession, Tick,
 };
 
 /// Wire offset of the `seq` header field (magic 2 + version 1 + kind 1 +
@@ -43,13 +44,11 @@ struct FlowTemplates {
     packets: Vec<(OverlayAddr, Vec<u8>)>,
 }
 
-/// Build `flows` independent small graphs, feeding each one's stage-1
-/// setup packets to `feed` (the relay under test) and returning the
-/// per-flow data-packet templates.
-fn establish_with(
-    flows: usize,
-    mut feed: impl FnMut(OverlayAddr, &Packet),
-) -> Vec<FlowTemplates> {
+/// Build `flows` independent small graphs and establish each on a relay
+/// split `shards` ways (fed the graph's stage-1 setup packets), returning
+/// the relay and the per-flow data-packet templates.
+fn establish(flows: usize, shards: usize) -> (ShardedRelay, Vec<FlowTemplates>) {
+    let mut relay = ShardedRelay::new(OverlayAddr(42), 7, shards);
     let params = GraphParams::new(3, 2)
         .with_paths(2)
         .with_data_mode(DataMode::Recode)
@@ -69,7 +68,7 @@ fn establish_with(
         let target = source.graph().stages[1][0];
         for instr in setup {
             if instr.to == target {
-                feed(instr.from, &instr.packet);
+                relay.handle_packet(Tick(0), instr.from, &instr.packet);
             }
         }
         let payload = vec![0xA5u8; 1200];
@@ -81,15 +80,6 @@ fn establish_with(
             .collect();
         templates.push(FlowTemplates { packets });
     }
-    templates
-}
-
-/// Single-shard establishment for the classic groups.
-fn establish(flows: usize) -> (RelayNode, Vec<FlowTemplates>) {
-    let mut relay = RelayNode::new(OverlayAddr(42), 7);
-    let templates = establish_with(flows, |from, p| {
-        relay.handle_packet(Tick(0), from, p);
-    });
     assert_eq!(
         relay.stats().flows_established,
         flows as u64,
@@ -109,7 +99,7 @@ fn relay_data_plane(c: &mut Criterion) {
     group.measurement_time(meas);
     group.warm_up_time(warm);
     for flows in [1usize, 64, 1024] {
-        let (mut relay, mut templates) = establish(flows);
+        let (mut relay, mut templates) = establish(flows, 1);
         // Two parent packets per message = two handle_packet calls/iter.
         group.throughput(Throughput::Elements(2));
         let mut seq: u32 = 1;
@@ -143,7 +133,7 @@ fn relay_data_plane(c: &mut Criterion) {
     group.measurement_time(if quick() { meas } else { Duration::from_millis(400) });
     group.warm_up_time(if quick() { warm } else { Duration::from_millis(100) });
     for flows in [1usize, 64, 1024] {
-        let (mut relay, _templates) = establish(flows);
+        let (mut relay, _templates) = establish(flows, 1);
         group.bench_with_input(BenchmarkId::new("poll", flows), &flows, |b, _| {
             b.iter(|| black_box(relay.poll(Tick(100)).sends.len()));
         });
@@ -162,11 +152,7 @@ struct ShardWork {
 /// one OS thread per shard (the worker-task model of the sharded
 /// daemon), over `run_for` of wall clock.
 fn sharded_rate(shards: usize, flows: usize, run_for: Duration) -> f64 {
-    let mut relay = ShardedRelay::new(OverlayAddr(42), 7, shards);
-    let templates = establish_with(flows, |from, p| {
-        relay.handle_packet(Tick(0), from, p);
-    });
-    assert_eq!(relay.stats().flows_established, flows as u64);
+    let (relay, templates) = establish(flows, shards);
     let router = relay.router().clone();
     let (shard_states, _, _) = relay.into_parts();
 

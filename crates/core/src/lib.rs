@@ -10,15 +10,15 @@
 //!
 //! * [`SourceSession`] — builds the forwarding graph, emits setup
 //!   packets, slices/encrypts outgoing data, decodes reverse-path data.
-//! * [`RelayNode`] — the per-overlay-node daemon state: a flow table
+//! * [`ShardedRelay`] — the per-overlay-node daemon state: a flow table
 //!   keyed on cleartext flow-ids (§7.1), slice gathering and decoding of
 //!   the node's own `I_x`, slice-map/data-map forwarding, per-hop
 //!   transform stripping, network-coded regeneration, destination
-//!   decode+decrypt, and stale-flow garbage collection.
-//! * [`ShardedRelay`] — the same engine fanned out over `N` independent
-//!   [`relay::RelayShard`]s routed by `hash(flow_id) % N`, so one relay
-//!   scales across cores (flows are independent; only stats and the
-//!   reverse-flow-id routing are shared).
+//!   decode+decrypt, and stale-flow garbage collection — fanned out
+//!   over `N ≥ 1` independent [`relay::RelayShard`]s routed by
+//!   `hash(flow_id) % N`, so one relay scales across cores (flows are
+//!   independent; only stats and the reverse-flow-id routing are
+//!   shared). One shard is the bare engine: the router short-circuits.
 //! * [`session`] — the endpoint layer over all of the above:
 //!   arbitrary-length streamed messages ([`SourceSession::send`]), the
 //!   destination-side [`DestSession`] (gather → recombine → in-order
@@ -43,7 +43,7 @@ pub mod time;
 pub mod wheel;
 
 pub use relay::{
-    ReceivedData, RelayConfig, RelayNode, RelayOutput, RelayShard, RelayStats, RelayStatsAtomic,
+    ReceivedData, RelayConfig, RelayOutput, RelayShard, RelayStats, RelayStatsAtomic,
 };
 pub use session::{
     DestOutput, DestResident, DestSession, SessionConfig, SessionError, SessionId, SessionManager,
@@ -60,5 +60,5 @@ pub use slicing_wire::{FlowId, Packet, PacketKind};
 /// A packet to put on the network: send `packet` from `from` to `to`.
 ///
 /// Re-exported from the graph layer (setup emission) and produced by
-/// [`RelayNode`] and [`SourceSession`] alike.
+/// [`ShardedRelay`] and [`SourceSession`] alike.
 pub use slicing_graph::packets::SendInstr;

@@ -17,10 +17,10 @@
 //! touches is shard-local, because flows are independent (the only
 //! cross-flow state a relay has is its stats and its reverse-flow-id
 //! routing, both shared through [`FlowRouter`] /
-//! [`RelayStatsAtomic`]). [`RelayNode`] is the single-shard facade (one
-//! `&mut self` state machine, the classic per-node daemon), and
-//! [`crate::shard::ShardedRelay`] fans the same engine out across `N`
-//! shards keyed by `hash(flow_id) % N`.
+//! [`RelayStatsAtomic`]). [`crate::shard::ShardedRelay`] is the one
+//! public relay type: it fans the engine out across `N ≥ 1` shards keyed
+//! by `hash(flow_id) % N` (one shard = one `&mut self` state machine
+//! with no routing step, the paper's per-node daemon).
 //!
 //! # Hot-path discipline
 //!
@@ -523,8 +523,8 @@ impl RelayShard {
         router: FlowRouter,
         shared: Arc<RelayStatsAtomic>,
     ) -> Self {
-        // Shard 0 keeps the historical single-shard stream so a 1-shard
-        // relay is bit-compatible with the pre-sharding RelayNode.
+        // Shard 0 draws the unmixed stream: a 1-shard relay's RNG depends
+        // on `(seed, addr)` alone.
         let stream = (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         RelayShard {
             addr,
@@ -1659,107 +1659,6 @@ impl RelayShard {
     }
 }
 
-/// The classic single-shard relay node: one `&mut self` state machine
-/// per overlay node, handling any number of concurrent flows. This is a
-/// zero-overhead facade over one [`RelayShard`] — the packet path is a
-/// direct delegation with no routing, no locking and no atomics — kept
-/// for tests, the deterministic simulators and the non-sharded daemon.
-/// Use [`crate::shard::ShardedRelay`] to spread the same engine over
-/// multiple cores.
-pub struct RelayNode {
-    shard: RelayShard,
-}
-
-impl RelayNode {
-    /// Create a relay for `addr` with a deterministic RNG seed.
-    pub fn new(addr: OverlayAddr, seed: u64) -> Self {
-        Self::with_config(addr, seed, RelayConfig::default())
-    }
-
-    /// Create with explicit configuration.
-    pub fn with_config(addr: OverlayAddr, seed: u64, config: RelayConfig) -> Self {
-        RelayNode {
-            shard: RelayShard::new(
-                addr,
-                seed,
-                config,
-                0,
-                FlowRouter::new(1),
-                Arc::new(RelayStatsAtomic::default()),
-            ),
-        }
-    }
-
-    /// This node's address.
-    pub fn addr(&self) -> OverlayAddr {
-        self.shard.addr()
-    }
-
-    /// Counters.
-    pub fn stats(&self) -> RelayStats {
-        self.shard.stats()
-    }
-
-    /// Fold counters accrued since the last publish into the node's
-    /// shared atomic stats (see [`RelayNode::shared_stats`]).
-    pub fn publish_stats(&mut self) {
-        self.shard.publish_stats();
-    }
-
-    /// The atomically readable mirror of this node's stats: lets a
-    /// driver observe the relay after moving it into a daemon task. The
-    /// I/O layer also counts wire-garbage here.
-    pub fn shared_stats(&self) -> Arc<RelayStatsAtomic> {
-        self.shard.shared_stats()
-    }
-
-    /// Number of live flows in the table.
-    pub fn flow_count(&self) -> usize {
-        self.shard.flow_count()
-    }
-
-    /// Number of pending timer-wheel entries (tests and diagnostics).
-    pub fn pending_deadlines(&self) -> usize {
-        self.shard.pending_deadlines()
-    }
-
-    /// The decoded info of an established flow, if any.
-    pub fn flow_info(&self, flow: FlowId) -> Option<&NodeInfo> {
-        self.shard.flow_info(flow)
-    }
-
-    /// Feed one packet into the state machine.
-    pub fn handle_packet(&mut self, now: Tick, from: OverlayAddr, packet: &Packet) -> RelayOutput {
-        self.shard.handle_packet(now, from, packet)
-    }
-
-    /// Drive timeouts; see [`RelayShard::poll`].
-    pub fn poll(&mut self, now: Tick) -> RelayOutput {
-        self.shard.poll(now)
-    }
-
-    /// Send application data back toward the source; see
-    /// [`RelayShard::send_reverse`].
-    pub fn send_reverse(
-        &mut self,
-        now: Tick,
-        flow: FlowId,
-        seq: u32,
-        plaintext: &[u8],
-    ) -> Option<Vec<SendInstr>> {
-        self.shard.send_reverse(now, flow, seq, plaintext)
-    }
-
-    /// Split into the underlying shard, its router and its shared stats
-    /// (the async daemon moves the shard into a worker task and keeps
-    /// the other two).
-    pub fn into_parts(self) -> (RelayShard, FlowRouter, Arc<RelayStatsAtomic>) {
-        let router = self.shard.router.clone();
-        let shared = self.shard.shared_stats();
-        (self.shard, router, shared)
-    }
-}
-
 /// Parse a clean (CRC-terminated) slot into a slice; `None` for padding
 /// or corruption.
 fn parse_clean_slot(d: usize, block_len: usize, slot: &[u8]) -> Option<InfoSlice> {
@@ -1781,6 +1680,7 @@ fn hash_bytes(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::ShardedRelay;
 
     /// `counters()` must enumerate every field exactly once: the
     /// exhaustive destructuring below fails to compile when a field is
@@ -1811,7 +1711,7 @@ mod tests {
 
     #[test]
     fn unknown_data_flow_dropped() {
-        let mut relay = RelayNode::new(OverlayAddr(1), 7);
+        let mut relay = ShardedRelay::new(OverlayAddr(1), 7, 1);
         let packet = Packet::new(
             PacketHeader {
                 kind: PacketKind::Data,
@@ -1834,7 +1734,7 @@ mod tests {
             max_flows: 2,
             ..RelayConfig::default()
         };
-        let mut relay = RelayNode::with_config(OverlayAddr(1), 7, config);
+        let mut relay = ShardedRelay::with_config(OverlayAddr(1), 7, config, 1);
         for i in 0..5u64 {
             let packet = Packet::new(
                 PacketHeader {
@@ -1855,7 +1755,7 @@ mod tests {
 
     #[test]
     fn garbage_setup_flow_dies_on_timeout() {
-        let mut relay = RelayNode::new(OverlayAddr(1), 7);
+        let mut relay = ShardedRelay::new(OverlayAddr(1), 7, 1);
         // Two garbage packets from two "parents": enough to try decoding,
         // which fails (slots are noise, CRC rejects them all).
         for p in 0..2u64 {
@@ -1885,7 +1785,7 @@ mod tests {
             flow_ttl_ms: 1_000,
             ..RelayConfig::default()
         };
-        let mut relay = RelayNode::with_config(OverlayAddr(1), 7, config);
+        let mut relay = ShardedRelay::with_config(OverlayAddr(1), 7, config, 1);
         let packet = Packet::new(
             PacketHeader {
                 kind: PacketKind::Setup,
@@ -1906,7 +1806,7 @@ mod tests {
 
     #[test]
     fn mismatched_setup_shape_dropped() {
-        let mut relay = RelayNode::new(OverlayAddr(1), 7);
+        let mut relay = ShardedRelay::new(OverlayAddr(1), 7, 1);
         let shape = |slot_len: u16, fill: u8| {
             Packet::new(
                 PacketHeader {

@@ -653,7 +653,7 @@ struct Reassembly {
 ///   destination).
 ///
 /// Construction needs the flow's decoded [`NodeInfo`] — from the relay
-/// that established it ([`crate::RelayNode::flow_info`]) or from the
+/// that established it ([`crate::ShardedRelay::flow_info`]) or from the
 /// source's graph in tests.
 pub struct DestSession {
     addr: OverlayAddr,

@@ -33,13 +33,13 @@ use slicing_graph::info::NodeInfo;
 use slicing_graph::OverlayAddr;
 use slicing_wire::{FlowId, Packet};
 
-use crate::relay::{RelayConfig, RelayNode, RelayOutput, RelayShard, RelayStats, RelayStatsAtomic};
+use crate::relay::{RelayConfig, RelayOutput, RelayShard, RelayStats, RelayStatsAtomic};
 use crate::time::Tick;
 
 /// Routes packets to shards by flow id.
 ///
-/// Cloneable and cheap to share: the sharded daemon hands one clone to
-/// its ingress task while the shards themselves (each holding another
+/// Cloneable and cheap to share: the node runtime hands one clone to
+/// each ingress task while the shards themselves (each holding another
 /// clone for reverse-id registration) move into their worker tasks.
 #[derive(Clone, Debug)]
 pub struct FlowRouter {
@@ -110,11 +110,12 @@ impl FlowRouter {
 /// A relay fanned out over `N` independent [`RelayShard`]s, routed by
 /// flow id.
 ///
-/// The synchronous front used here keeps the same `&mut self` API as
-/// [`RelayNode`] (so the deterministic test network and the benches can
-/// drive either), while [`ShardedRelay::into_parts`] splits ownership
-/// for the async runtime: each shard moves into its own worker task and
-/// the [`FlowRouter`] moves into the ingress dispatcher.
+/// The one public relay type. The synchronous `&mut self` front drives
+/// the deterministic test network and the benches; with one shard the
+/// router short-circuits, so `ShardedRelay::new(addr, seed, 1)` is the
+/// bare engine. [`ShardedRelay::into_parts`] splits ownership for the
+/// async runtime: each shard moves into its own worker task and the
+/// [`FlowRouter`] moves into the ingress dispatcher.
 pub struct ShardedRelay {
     addr: OverlayAddr,
     shards: Vec<RelayShard>,
@@ -209,6 +210,12 @@ impl ShardedRelay {
         self.shards.iter().map(|s| s.flow_count()).sum()
     }
 
+    /// Pending timer-wheel entries across all shards (tests and
+    /// diagnostics).
+    pub fn pending_deadlines(&self) -> usize {
+        self.shards.iter().map(|s| s.pending_deadlines()).sum()
+    }
+
     /// The decoded info of an established flow, if any.
     pub fn flow_info(&self, flow: FlowId) -> Option<&NodeInfo> {
         self.shards[self.router.route(flow)].flow_info(flow)
@@ -249,20 +256,6 @@ impl ShardedRelay {
     /// dispatcher) and the shared stats.
     pub fn into_parts(self) -> (Vec<RelayShard>, FlowRouter, Arc<RelayStatsAtomic>) {
         (self.shards, self.router, self.shared)
-    }
-}
-
-impl From<RelayNode> for ShardedRelay {
-    /// A single-shard relay from the classic facade (routing is a no-op).
-    fn from(node: RelayNode) -> Self {
-        let addr = node.addr();
-        let (shard, router, shared) = node.into_parts();
-        ShardedRelay {
-            addr,
-            shards: vec![shard],
-            router,
-            shared,
-        }
     }
 }
 

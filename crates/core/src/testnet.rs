@@ -23,8 +23,7 @@ use crate::time::Tick;
 pub struct TestNet {
     /// Relay state machines by address. Hosted as [`ShardedRelay`]s so
     /// every scenario can also run with a sharded data plane (see
-    /// [`TestNet::with_shards`]); the default single shard behaves
-    /// bit-identically to the classic `RelayNode`.
+    /// [`TestNet::with_shards`]); the default is one shard.
     pub relays: HashMap<OverlayAddr, ShardedRelay>,
     /// Addresses that have failed (packets to them vanish).
     pub failed: HashSet<OverlayAddr>,

@@ -8,7 +8,7 @@ use std::collections::HashSet;
 
 use slicing_core::testnet::TestNet;
 use slicing_core::{
-    DataMode, DestPlacement, GraphParams, OverlayAddr, RelayConfig, RelayNode, SourceConfig,
+    DataMode, DestPlacement, GraphParams, OverlayAddr, RelayConfig, ShardedRelay, SourceConfig,
     SourceSession, Tick,
 };
 
@@ -214,7 +214,7 @@ fn redundant_flow_survives_stage2_kill_without_repair() {
 
 /// Drive a single stage-1 relay directly: establish one flow on it and
 /// return the source plus the per-parent data sends for traffic.
-fn single_relay(seed: u64, config: RelayConfig) -> (RelayNode, SourceSession) {
+fn single_relay(seed: u64, config: RelayConfig) -> (ShardedRelay, SourceSession) {
     let params = GraphParams::new(3, 2)
         .with_paths(2)
         .with_data_mode(DataMode::Recode)
@@ -224,7 +224,7 @@ fn single_relay(seed: u64, config: RelayConfig) -> (RelayNode, SourceSession) {
     let (source, setup) =
         SourceSession::establish(params, &pseudo, &candidates, OverlayAddr(1), seed).unwrap();
     let target = source.graph().stages[1][0];
-    let mut relay = RelayNode::with_config(target, 9, config);
+    let mut relay = ShardedRelay::with_config(target, 9, config, 1);
     for instr in setup {
         if instr.to == target {
             relay.handle_packet(Tick(0), instr.from, &instr.packet);
@@ -249,7 +249,7 @@ fn stale_liveness_entry_cannot_fire_spurious_teardown() {
     };
     let (mut relay, mut source) = single_relay(21, config);
     let target = relay.addr();
-    let send_from = |relay: &mut RelayNode, source: &mut SourceSession, now: Tick, who: usize| {
+    let send_from = |relay: &mut ShardedRelay, source: &mut SourceSession, now: Tick, who: usize| {
         let parent = source.graph().stages[0][who];
         let (_, sends) = source.send_message(b"tick").expect("within chunk budget");
         for instr in sends.into_iter().filter(|s| s.to == target && s.from == parent) {

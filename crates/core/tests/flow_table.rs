@@ -4,7 +4,7 @@
 //! that re-arms an expiry.
 
 use slicing_core::{
-    DataMode, DestPlacement, GraphParams, OverlayAddr, Packet, PacketKind, RelayConfig, RelayNode,
+    DataMode, DestPlacement, GraphParams, OverlayAddr, Packet, PacketKind, RelayConfig, ShardedRelay,
     SendInstr, SourceSession, Tick,
 };
 use slicing_wire::{FlowId, PacketHeader};
@@ -28,7 +28,7 @@ fn garbage_setup(flow: u64, fill: u8) -> Packet {
 /// Establish one real flow on `relay` (at `now`) using the graph
 /// machinery, mirroring the paper's stage-1 relay: returns the flow's
 /// data-packet template (one send per parent) for later traffic.
-fn establish_flow(relay: &mut RelayNode, now: Tick, seed: u64) -> (SourceSession, Vec<SendInstr>) {
+fn establish_flow(relay: &mut ShardedRelay, now: Tick, seed: u64) -> (SourceSession, Vec<SendInstr>) {
     let params = GraphParams::new(3, 2)
         .with_paths(2)
         .with_data_mode(DataMode::Recode)
@@ -62,7 +62,7 @@ fn eviction_at_max_flows_and_readmission() {
         flow_ttl_ms: 1_000,
         ..RelayConfig::default()
     };
-    let mut relay = RelayNode::with_config(OverlayAddr(1), 7, config);
+    let mut relay = ShardedRelay::with_config(OverlayAddr(1), 7, config, 1);
     // Fill the table.
     for f in 0..3u64 {
         relay.handle_packet(Tick(0), OverlayAddr(100 + f), &garbage_setup(f, f as u8));
@@ -88,7 +88,7 @@ fn dead_flow_quarantine_swallows_traffic_until_ttl() {
         flow_ttl_ms: 2_000,
         ..RelayConfig::default()
     };
-    let mut relay = RelayNode::with_config(OverlayAddr(1), 7, config);
+    let mut relay = ShardedRelay::with_config(OverlayAddr(1), 7, config, 1);
     // Two garbage parents → decode attempt fails on the forced flush.
     relay.handle_packet(Tick(0), OverlayAddr(10), &garbage_setup(5, 1));
     relay.handle_packet(Tick(0), OverlayAddr(11), &garbage_setup(5, 3));
@@ -132,7 +132,7 @@ fn idle_gc_fires_exactly_at_flow_ttl_mid_bucket() {
         flow_ttl_ms: 1_234,
         ..RelayConfig::default()
     };
-    let mut relay = RelayNode::with_config(OverlayAddr(1), 7, config);
+    let mut relay = ShardedRelay::with_config(OverlayAddr(1), 7, config, 1);
     relay.handle_packet(Tick(0), OverlayAddr(10), &garbage_setup(8, 1));
     relay.poll(Tick(1_233));
     assert_eq!(relay.flow_count(), 1, "must not fire before the deadline");
@@ -147,7 +147,7 @@ fn activity_rearms_flow_expiry() {
         data_flush_ms: 100,
         ..RelayConfig::default()
     };
-    let mut relay = RelayNode::with_config(OverlayAddr(42), 7, config);
+    let mut relay = ShardedRelay::with_config(OverlayAddr(42), 7, config, 1);
     let (_source, template) = establish_flow(&mut relay, Tick(0), 77);
     assert_eq!(relay.flow_count(), 1);
 
@@ -176,7 +176,7 @@ fn wheel_flushes_partial_data_gather_on_deadline() {
         data_flush_ms: 777,
         ..RelayConfig::default()
     };
-    let mut relay = RelayNode::with_config(OverlayAddr(42), 7, config);
+    let mut relay = ShardedRelay::with_config(OverlayAddr(42), 7, config, 1);
     let (_source, template) = establish_flow(&mut relay, Tick(0), 99);
     let first = &template[0];
     let out = relay.handle_packet(Tick(1_000), first.from, &first.packet);
@@ -200,7 +200,7 @@ fn flushed_gathers_are_dropped_after_quarantine() {
         flow_ttl_ms: 60_000,
         ..RelayConfig::default()
     };
-    let mut relay = RelayNode::with_config(OverlayAddr(42), 7, config);
+    let mut relay = ShardedRelay::with_config(OverlayAddr(42), 7, config, 1);
     let (mut source, _) = establish_flow(&mut relay, Tick(0), 55);
     let target = source.graph().stages[1][0];
     // Stream 50 messages, polling as a daemon would.
@@ -249,7 +249,7 @@ fn replay_after_gather_reap_is_not_redelivered() {
     let dest = source.graph().dest;
     assert_eq!(dest.stage, 1, "destination must sit in stage 1");
     let target = source.graph().stages[dest.stage][dest.index];
-    let mut relay = RelayNode::with_config(target, 7, config);
+    let mut relay = ShardedRelay::with_config(target, 7, config, 1);
     let mut receiver = false;
     for instr in setup {
         if instr.to == target {
@@ -291,7 +291,7 @@ fn idle_poll_does_not_touch_live_flows() {
     // With many live flows and nothing expired, poll emits nothing and
     // consumes no wheel entries — the O(flows) scan is gone; cost is
     // O(buckets swept), independent of table size.
-    let mut relay = RelayNode::new(OverlayAddr(1), 7);
+    let mut relay = ShardedRelay::new(OverlayAddr(1), 7, 1);
     for f in 0..100u64 {
         relay.handle_packet(Tick(0), OverlayAddr(100 + f), &garbage_setup(f, f as u8));
     }

@@ -253,7 +253,7 @@ fn backpressure_and_oversize_are_typed() {
 /// `DestSession` re-announces its delivery state and the window drains.
 #[test]
 fn colocated_replay_surfaces_and_reacks() {
-    use slicing_core::{DestSession, RelayNode, SendInstr, Tick};
+    use slicing_core::{DestSession, ShardedRelay, SendInstr, Tick};
 
     // A stage-1 destination so the source's packets hit the receiver
     // relay directly (no intermediate hops to drive).
@@ -267,10 +267,10 @@ fn colocated_replay_surfaces_and_reacks() {
     let dest_addr = g.stages[g.dest.stage][g.dest.index];
     let dest_flow = g.flow_ids[g.dest.stage][g.dest.index];
     let dest_info = g.infos[g.dest.stage][g.dest.index].clone();
-    let mut relay = RelayNode::with_config(dest_addr, 5, relay_config());
+    let mut relay = ShardedRelay::with_config(dest_addr, 5, relay_config(), 1);
     let mut dest = DestSession::new(dest_addr, dest_flow, dest_info, session_config(), 5);
 
-    let feed = |relay: &mut RelayNode, now: Tick, sends: &[SendInstr]| {
+    let feed = |relay: &mut ShardedRelay, now: Tick, sends: &[SendInstr]| {
         let mut received = Vec::new();
         let mut replayed = Vec::new();
         for instr in sends.iter().filter(|s| s.to == dest_addr) {

@@ -1,35 +1,31 @@
 //! Daemon tasks: async drivers around the sans-IO engines.
 //!
-//! Three shapes, mirroring (and extending) the paper's per-node
-//! multi-threaded daemon (§7.1):
+//! One shape, the paper's per-node multi-threaded daemon (§7.1):
+//! [`spawn_node`] runs relay, source and destination roles concurrently
+//! over shared transports.
 //!
-//! * [`spawn_relay`] — the classic single-task daemon: one worker task
-//!   owns the node's single [`RelayShard`] (fed straight from the
-//!   port's inbox), so a relay uses at most one core.
-//! * [`spawn_sharded_relay`] — the sharded runtime: one **ingress** task
-//!   peeks just the flow id out of each received buffer and dispatches
-//!   the frozen [`Bytes`] over an SPSC channel to the worker owning that
-//!   flow's [`RelayShard`]; each **worker** drives its shard (packets +
-//!   50 ms timer) and owns its own egress sender, batching consecutive
-//!   sends to the same neighbour before awaiting the transport. Flows
-//!   have shard affinity (`hash(flow_id) % N` via the shared
-//!   [`FlowRouter`]), so shards never contend on flow state and a relay
-//!   scales across cores.
-//! * [`spawn_node`] — the combined node: relay, source and destination
-//!   roles concurrently over shared transports. Every port's ingress
-//!   peeks the flow id and routes the buffer to either the relay plane
-//!   (shard workers, as above) or the session plane (a
+//! * Per port, an **ingress** task peeks just the flow id out of each
+//!   received buffer and hands the frozen [`Bytes`] over an SPSC channel
+//!   to the worker owning that flow: the session plane (a
 //!   [`slicing_core::SessionManager`] split into per-shard workers that
-//!   host thousands of source/destination endpoints). Receiver flows
-//!   established by the relay plane get a colocated
-//!   [`DestSession`] in their owning shard worker — flow affinity means
-//!   the destination role adds no locks to the packet path — while the
-//!   relay keeps forwarding downstream so neighbours cannot tell the
-//!   node terminates traffic.
+//!   host thousands of source/destination endpoints) if it registered
+//!   the flow, the relay plane otherwise.
+//! * Each relay **worker** drives one [`RelayShard`] (packets + 50 ms
+//!   timer). Flows have shard affinity (`hash(flow_id) % N` via the
+//!   shared [`FlowRouter`]), so shards never contend on flow state and a
+//!   relay scales across cores; one shard is simply one worker behind the
+//!   ingress. Receiver flows the relay plane establishes get a colocated
+//!   [`DestSession`] in their owning worker — flow affinity means the
+//!   destination role adds no locks to the packet path — while the relay
+//!   keeps forwarding downstream so neighbours cannot tell the node
+//!   terminates traffic.
+//! * Every worker of either plane transmits through the same egress
+//!   flusher over the node's per-address sender map, grouping a flush's
+//!   sends by `(from, to)` into one transport batch each.
 //!
 //! Wire-garbage (buffers that fail packet parsing) is counted into the
 //! relay's shared [`slicing_core::RelayStatsAtomic`] by whichever task
-//! rejects it, and every driver folds its shard's counters into the same
+//! rejects it, and every worker folds its shard's counters into the same
 //! cell, so tests and dashboards can watch a live relay without owning
 //! its state.
 
@@ -39,10 +35,9 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use slicing_core::{
-    DestSession, FlowRouter, OverlayAddr, Packet, RelayNode, RelayOutput, RelayShard,
-    RelayStatsAtomic, SessionConfig, SessionError, SessionId, SessionManager, SessionOutput,
-    SessionRouter, SessionShard, SessionStats, SessionStatsAtomic, ShardedRelay, SourceSession,
-    Tick,
+    DestSession, FlowRouter, OverlayAddr, Packet, RelayOutput, RelayShard, RelayStatsAtomic,
+    SessionConfig, SessionError, SessionId, SessionManager, SessionOutput, SessionRouter,
+    SessionShard, SessionStats, SessionStatsAtomic, ShardedRelay, SourceSession, Tick,
 };
 use slicing_graph::packets::SendInstr;
 use slicing_onion::{OnionPacket, OnionRelay};
@@ -56,6 +51,12 @@ use crate::{NodePort, PortSender};
 /// the network (bounds latency of the first queued send; keeps the
 /// egress batches dense under load).
 const WORKER_DRAIN_BATCH: usize = 32;
+
+/// Most `(from, to)` egress buckets a worker carries from one flush to
+/// the next for their allocations (see [`flush_instr_batches`]): above
+/// any one node's working set of neighbours in the overlays we run, small
+/// enough that scanning it per send stays cheaper than a map.
+const EGRESS_BUCKETS_KEPT: usize = 32;
 
 /// Timer cadence for the relay state machines. The select loops are
 /// biased toward the packet arm, so under sustained traffic the ticker
@@ -117,224 +118,9 @@ fn emit_events(
     }
 }
 
-/// A running relay daemon: the spawned task(s) plus a shutdown line.
-///
-/// Dropping the handle also stops the daemon (the stop channel closes),
-/// so harnesses that collect daemons in a `Vec` clean up by dropping it.
-pub struct RelayDaemon {
-    stop: mpsc::Sender<()>,
-    join: tokio::task::JoinHandle<()>,
-}
-
-impl RelayDaemon {
-    /// Ask the daemon to exit its loop cleanly (pending work published,
-    /// shard channels drained and closed) and wait until it has.
-    ///
-    /// Used by the churn driver to take a node off the overlay mid-flow:
-    /// on TCP the node's port closes and peers' cached connections fail
-    /// over to datagram drops, exactly like a crashed process.
-    pub async fn shutdown(self) {
-        let _ = self.stop.send(()).await;
-        let _ = self.join.await;
-    }
-
-    /// Hard-abort the daemon task (tests and teardown).
-    pub fn abort(&self) {
-        self.join.abort();
-    }
-}
-
-/// The stop line a worker loop selects on. For the single-shard daemon
-/// it is the daemon's real stop channel; sharded workers get a dormant
-/// line (the ingress dispatcher owns the real one and stopping it closes
-/// every worker's inbox instead).
-struct StopLine {
-    rx: mpsc::Receiver<()>,
-    /// Keeps a dormant line from resolving (a closed channel would).
-    _keep: Option<mpsc::Sender<()>>,
-}
-
-impl StopLine {
-    /// A line wired to `rx`: resolves on an explicit stop *or* when the
-    /// daemon handle is dropped.
-    fn live(rx: mpsc::Receiver<()>) -> Self {
-        StopLine { rx, _keep: None }
-    }
-
-    /// A line that never resolves.
-    fn dormant() -> Self {
-        let (tx, rx) = mpsc::channel(1);
-        StopLine {
-            rx,
-            _keep: Some(tx),
-        }
-    }
-}
-
-/// Transmit `sends`, grouping consecutive sends to the same neighbour
-/// into one transport batch (`scratch` is reused across calls).
-async fn flush_sends(
-    port: &PortSender,
-    outputs: RelayOutput,
-    batches: &mut Vec<(OverlayAddr, Vec<Bytes>)>,
-) {
-    // Group every same-destination send across the whole flush into one
-    // transport call: a relay generation fans its `d` packets out to
-    // different next hops, so same-destination sends interleave — runs
-    // alone would leave every batch at one frame. Per-destination order
-    // is preserved; order between destinations carries no meaning.
-    for instr in outputs.sends {
-        let frames = match batches.iter_mut().find(|(to, _)| *to == instr.to) {
-            Some((_, frames)) => frames,
-            None => {
-                batches.push((instr.to, Vec::new()));
-                &mut batches.last_mut().expect("just pushed").1
-            }
-        };
-        frames.push(instr.packet.encode());
-    }
-    for (to, frames) in batches.iter_mut() {
-        port.send_many(*to, frames).await;
-    }
-    // Keep the bucket allocations; frames were drained in place.
-    batches.retain(|(_, frames)| frames.capacity() > 0);
-}
-
-/// Spawn a slicing relay daemon on `port`; runs until the port closes.
-///
-/// `epoch` anchors the Tick clock so all daemons share a timeline.
-/// This is the one-shard case of the sharded runtime: the node's single
-/// [`RelayShard`] is driven by the same worker loop, with the port's
-/// inbox as its packet channel (no ingress dispatcher needed).
-pub fn spawn_relay(
-    relay: RelayNode,
-    port: NodePort,
-    events: mpsc::UnboundedSender<OverlayEvent>,
-    epoch: Instant,
-) -> RelayDaemon {
-    let (shard, _router, _stats) = relay.into_parts();
-    let (stop_tx, stop_rx) = mpsc::channel(1);
-    RelayDaemon {
-        stop: stop_tx,
-        join: tokio::spawn(shard_worker(
-            shard,
-            port.rx,
-            port.tx,
-            events,
-            epoch,
-            StopLine::live(stop_rx),
-            None,
-        )),
-    }
-}
-
-/// Spawn a sharded relay: one ingress dispatcher plus one worker task
-/// per shard, all on `port`. Runs until the port closes or the daemon
-/// is [shut down](RelayDaemon::shutdown) — stopping the ingress drops
-/// the shard channels, which shuts the workers down.
-///
-/// # Example
-///
-/// Run one 4-way sharded relay on the in-process emulated network,
-/// watch it count an unparseable frame through the shared stats, and
-/// shut it down cleanly:
-///
-/// ```
-/// use std::time::{Duration, Instant};
-/// use slicing_core::{OverlayAddr, ShardedRelay};
-/// use slicing_overlay::{spawn_sharded_relay, EmulatedNet};
-/// use slicing_sim::wan::NetProfile;
-/// use tokio::sync::mpsc;
-///
-/// #[tokio::main]
-/// async fn main() {
-///     let net = EmulatedNet::new(NetProfile::lan(), 1);
-///     let port = net.attach(OverlayAddr(10));
-///     let sender = net.attach(OverlayAddr(11));
-///     let relay = ShardedRelay::new(OverlayAddr(10), 7, 4);
-///     let stats = relay.shared_stats();
-///     let (events, _events_rx) = mpsc::unbounded_channel();
-///     let daemon = spawn_sharded_relay(relay, port, events, Instant::now());
-///
-///     // Anything sent to OverlayAddr(10) is peeked for its flow id and
-///     // dispatched to the shard owning that flow; garbage dies at the
-///     // ingress and is counted in the shared stats.
-///     sender.tx.send(OverlayAddr(10), bytes::Bytes::from(&b"junk"[..])).await;
-///     while stats.snapshot().garbage == 0 {
-///         tokio::time::sleep(Duration::from_millis(5)).await;
-///     }
-///     daemon.shutdown().await;
-/// }
-/// ```
-pub fn spawn_sharded_relay(
-    relay: ShardedRelay,
-    port: NodePort,
-    events: mpsc::UnboundedSender<OverlayEvent>,
-    epoch: Instant,
-) -> RelayDaemon {
-    let (shards, router, stats) = relay.into_parts();
-    let mut shard_txs = Vec::with_capacity(shards.len());
-    for shard in shards {
-        let (stx, srx) = mpsc::channel::<(OverlayAddr, Bytes)>(1024);
-        tokio::spawn(shard_worker(
-            shard,
-            srx,
-            port.tx.clone(),
-            events.clone(),
-            epoch,
-            StopLine::dormant(),
-            None,
-        ));
-        shard_txs.push(stx);
-    }
-    let (stop_tx, stop_rx) = mpsc::channel(1);
-    RelayDaemon {
-        stop: stop_tx,
-        join: tokio::spawn(ingress(port, router, shard_txs, stats, stop_rx)),
-    }
-}
-
-/// The ingress dispatcher: peek the flow id, pick the shard, hand the
-/// frozen receive buffer over. Full packet validation happens in the
-/// owning shard — the dispatcher reads 12 bytes per packet and never
-/// blocks on protocol work.
-async fn ingress(
-    mut port: NodePort,
-    router: FlowRouter,
-    shard_txs: Vec<mpsc::Sender<(OverlayAddr, Bytes)>>,
-    stats: Arc<RelayStatsAtomic>,
-    mut stop: mpsc::Receiver<()>,
-) {
-    loop {
-        let received = tokio::select! {
-            maybe = port.rx.recv() => maybe,
-            // Clean shutdown (or daemon handle dropped): stop
-            // dispatching; dropping `shard_txs` below drains the
-            // workers out.
-            _ = stop.recv() => None,
-        };
-        let Some((from, bytes)) = received else { break };
-        match peek_flow_id(&bytes) {
-            Some(flow) => {
-                let idx = router.route(flow);
-                // Datagram semantics: if one shard's worker is stalled
-                // behind a slow neighbour and its inbox is full, shed
-                // this packet rather than blocking dispatch to the
-                // other N−1 shards.
-                if shard_txs[idx].try_send((from, bytes)).is_err() {
-                    stats.record_drop();
-                }
-            }
-            None => stats.record_garbage(),
-        }
-    }
-    // Port closed or stopped: dropping `shard_txs` closes every
-    // worker's inbox.
-}
-
 /// One shard's worker: owns the shard, drives packets and the 50 ms
-/// timer, reports events, and transmits through its own egress handle
-/// with consecutive same-neighbour sends batched.
+/// timer, reports events, and transmits through the node's shared egress
+/// map. Exits when every ingress has closed its inbox.
 ///
 /// With `dest_spec` set, the worker also plays the **destination role**
 /// for receiver flows its shard establishes: each gets a colocated
@@ -344,11 +130,10 @@ async fn ingress(
 /// worker's egress.
 async fn shard_worker(
     mut shard: RelayShard,
-    mut rx: mpsc::Receiver<(OverlayAddr, Bytes)>,
-    tx: PortSender,
+    mut rx: mpsc::Receiver<RelayPacket>,
+    egress: Arc<HashMap<OverlayAddr, PortSender>>,
     events: mpsc::UnboundedSender<OverlayEvent>,
     epoch: Instant,
-    mut stop: StopLine,
     dest_spec: Option<DestSessionSpec>,
 ) {
     let addr = shard.addr();
@@ -381,9 +166,6 @@ async fn shard_worker(
                 poll_boundary = true;
                 shard.poll(now_tick(epoch))
             }
-            // Clean mid-flow shutdown (single-shard daemons; sharded
-            // workers stop when the ingress closes their inbox).
-            _ = stop.rx.recv() => break,
         };
         // Drain whatever else is already queued before touching the
         // network, so bursts produce dense egress batches.
@@ -412,7 +194,8 @@ async fn shard_worker(
             );
         }
         emit_events(&events, addr, epoch, &outputs);
-        flush_sends(&tx, outputs, &mut scratch).await;
+        let misaddressed = flush_instr_batches(&egress, outputs.sends, &mut scratch).await;
+        (0..misaddressed).for_each(|_| stats.record_drop());
         shard.publish_stats();
     }
     // Exiting (port closed or shutdown): leave the shared stats exact.
@@ -609,10 +392,6 @@ enum SessionCommand {
         source: Box<SourceSession>,
         setup: Vec<SendInstr>,
     },
-    OpenDest {
-        id: SessionId,
-        dest: Box<DestSession>,
-    },
     Send {
         id: SessionId,
         payload: Vec<u8>,
@@ -651,39 +430,22 @@ impl SessionHandle {
     ) -> SessionId {
         let id = SessionId(self.next_id.fetch_add(1, Ordering::Relaxed));
         source.set_session_config(self.config);
-        let shard = self.router.route_id(id);
-        let _ = self.cmds[shard]
-            .send(SessionCommand::OpenSource {
-                id,
-                source: Box::new(source),
-                setup,
-            })
+        let source = Box::new(source);
+        self.command(id, SessionCommand::OpenSource { id, source, setup })
             .await;
         id
     }
 
-    /// Open a destination endpoint (endpoint mode — the node's ingress
-    /// routes the flow's data packets straight to it).
-    pub async fn open_dest(&self, dest: DestSession) -> SessionId {
-        let id = SessionId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        let shard = self.router.route_id(id);
-        let _ = self.cmds[shard]
-            .send(SessionCommand::OpenDest {
-                id,
-                dest: Box::new(dest),
-            })
-            .await;
-        id
+    /// Hand `cmd` to the worker owning session `id`.
+    async fn command(&self, id: SessionId, cmd: SessionCommand) {
+        let _ = self.cmds[self.router.route_id(id)].send(cmd).await;
     }
 
     /// Queue one stream message on a session. Fire-and-forget: failures
     /// (backpressure, unknown id) surface as
     /// [`SessionEvent::Rejected`].
     pub async fn send(&self, id: SessionId, payload: Vec<u8>) {
-        let shard = self.router.route_id(id);
-        let _ = self.cmds[shard]
-            .send(SessionCommand::Send { id, payload })
-            .await;
+        self.command(id, SessionCommand::Send { id, payload }).await;
     }
 
     /// Ask a source session to repair its forwarding graph around any
@@ -697,16 +459,12 @@ impl SessionHandle {
     /// emits nothing and the failure state is kept for a retry with a
     /// fresher pool.
     pub async fn repair(&self, id: SessionId, pool: Vec<OverlayAddr>) {
-        let shard = self.router.route_id(id);
-        let _ = self.cmds[shard]
-            .send(SessionCommand::Repair { id, pool })
-            .await;
+        self.command(id, SessionCommand::Repair { id, pool }).await;
     }
 
     /// Tear a session down.
     pub async fn close(&self, id: SessionId) {
-        let shard = self.router.route_id(id);
-        let _ = self.cmds[shard].send(SessionCommand::Close { id }).await;
+        self.command(id, SessionCommand::Close { id }).await;
     }
 
     /// Snapshot of the node's session-plane counters.
@@ -741,29 +499,40 @@ pub struct NodeSpec {
     pub epoch: Instant,
 }
 
-/// A running combined node.
+/// A running node.
+///
+/// Dropping the handle also stops the node (the stop lines close, every
+/// ingress exits, and the workers drain out behind them), so harnesses
+/// that collect nodes in a `Vec` clean up by dropping it.
 pub struct NodeHandle {
     stops: Vec<mpsc::Sender<()>>,
-    joins: Vec<tokio::task::JoinHandle<()>>,
+    ingress: Vec<tokio::task::JoinHandle<()>>,
+    workers: Vec<tokio::task::JoinHandle<()>>,
     /// The session plane's driver handle (when the node hosts one).
     pub sessions: Option<SessionHandle>,
 }
 
 impl NodeHandle {
-    /// Ask every ingress to exit (workers drain out when their inboxes
-    /// close) and wait for the ingress tasks.
+    /// Ask every ingress to exit and wait until the node has stopped:
+    /// the ports are released, the workers have drained their inboxes,
+    /// transmitted what that produced and published their final stats.
+    ///
+    /// Used by the churn driver to take a node off the overlay mid-flow:
+    /// on TCP the node's port closes and peers' cached connections fail
+    /// over to datagram drops, exactly like a crashed process.
     pub async fn shutdown(self) {
         for stop in &self.stops {
             let _ = stop.send(()).await;
         }
-        for join in self.joins {
+        for join in self.ingress.into_iter().chain(self.workers) {
             let _ = join.await;
         }
     }
 
-    /// Hard-abort the node's ingress tasks (teardown).
+    /// Hard-abort the node's ingress tasks (teardown); the workers drain
+    /// out once their inboxes close.
     pub fn abort(&self) {
-        for join in &self.joins {
+        for join in &self.ingress {
             join.abort();
         }
     }
@@ -793,6 +562,53 @@ struct IngressRouting {
 /// when `dest_sessions` is set, so one node terminates, originates and
 /// forwards traffic concurrently — with flow/session affinity keeping
 /// every packet path lock-free.
+///
+/// Workers transmit each [`SendInstr`] through the port attached at its
+/// `from` address, so a relay must be spawned on a port at its own
+/// address; sends from an address the node does not own are counted as
+/// `drops` in the owning plane's shared stats.
+///
+/// # Example
+///
+/// Run one 4-way sharded relay on the in-process emulated network,
+/// watch it count an unparseable frame through the shared stats, and
+/// shut it down cleanly:
+///
+/// ```
+/// use std::time::{Duration, Instant};
+/// use slicing_core::{OverlayAddr, ShardedRelay};
+/// use slicing_overlay::{spawn_node, EmulatedNet, NodeSpec};
+/// use slicing_sim::wan::NetProfile;
+/// use tokio::sync::mpsc;
+///
+/// #[tokio::main]
+/// async fn main() {
+///     let net = EmulatedNet::new(NetProfile::lan(), 1);
+///     let port = net.attach(OverlayAddr(10));
+///     let sender = net.attach(OverlayAddr(11));
+///     let relay = ShardedRelay::new(OverlayAddr(10), 7, 4);
+///     let stats = relay.shared_stats();
+///     let (events, _events_rx) = mpsc::unbounded_channel();
+///     let node = spawn_node(NodeSpec {
+///         relay: Some(relay),
+///         sessions: None,
+///         ports: vec![port],
+///         dest_sessions: None,
+///         events,
+///         session_events: None,
+///         epoch: Instant::now(),
+///     });
+///
+///     // Anything sent to OverlayAddr(10) is peeked for its flow id and
+///     // dispatched to the shard owning that flow; garbage dies at the
+///     // ingress and is counted in the shared stats.
+///     sender.tx.send(OverlayAddr(10), bytes::Bytes::from(&b"junk"[..])).await;
+///     while stats.snapshot().garbage == 0 {
+///         tokio::time::sleep(Duration::from_millis(5)).await;
+///     }
+///     node.shutdown().await;
+/// }
+/// ```
 pub fn spawn_node(spec: NodeSpec) -> NodeHandle {
     let NodeSpec {
         relay,
@@ -803,8 +619,8 @@ pub fn spawn_node(spec: NodeSpec) -> NodeHandle {
         session_events,
         epoch,
     } = spec;
-    // Egress: one sender per attachment address, shared by the session
-    // workers (SendInstr.from picks the port).
+    // Egress: one sender per attachment address, shared by every worker
+    // (SendInstr.from picks the port).
     let egress: Arc<HashMap<OverlayAddr, PortSender>> = Arc::new(
         ports
             .iter()
@@ -812,28 +628,23 @@ pub fn spawn_node(spec: NodeSpec) -> NodeHandle {
             .collect(),
     );
 
+    let mut workers = Vec::new();
+
     // Relay plane.
     let mut relay_routing = None;
     if let Some(relay) = relay {
-        let relay_addr = relay.addr();
-        let relay_tx = egress
-            .get(&relay_addr)
-            .cloned()
-            .or_else(|| ports.first().map(|p| p.tx.clone()))
-            .expect("spawn_node needs at least one port");
         let (shards, router, stats) = relay.into_parts();
         let mut shard_txs = Vec::with_capacity(shards.len());
         for shard in shards {
-            let (stx, srx) = mpsc::channel::<(OverlayAddr, Bytes)>(1024);
-            tokio::spawn(shard_worker(
+            let (stx, srx) = mpsc::channel::<RelayPacket>(1024);
+            workers.push(tokio::spawn(shard_worker(
                 shard,
                 srx,
-                relay_tx.clone(),
+                Arc::clone(&egress),
                 events.clone(),
                 epoch,
-                StopLine::dormant(),
                 dest_sessions.clone(),
-            ));
+            )));
             shard_txs.push(stx);
         }
         relay_routing = Some((router, shard_txs, stats));
@@ -850,7 +661,7 @@ pub fn spawn_node(spec: NodeSpec) -> NodeHandle {
         for shard in shards {
             let (ptx, prx) = mpsc::channel::<SessionPacket>(1024);
             let (ctx, crx) = mpsc::channel::<SessionCommand>(256);
-            tokio::spawn(session_worker(
+            workers.push(tokio::spawn(session_worker(
                 shard,
                 prx,
                 crx,
@@ -858,7 +669,7 @@ pub fn spawn_node(spec: NodeSpec) -> NodeHandle {
                 session_events.clone(),
                 Arc::clone(&stats),
                 epoch,
-            ));
+            )));
             packet_txs.push(ptx);
             cmd_txs.push(ctx);
         }
@@ -877,27 +688,31 @@ pub fn spawn_node(spec: NodeSpec) -> NodeHandle {
         relay: relay_routing,
     };
     let mut stops = Vec::with_capacity(ports.len());
-    let mut joins = Vec::with_capacity(ports.len());
+    let mut ingress = Vec::with_capacity(ports.len());
     for port in ports {
         let (stop_tx, stop_rx) = mpsc::channel(1);
         stops.push(stop_tx);
-        joins.push(tokio::spawn(node_ingress(port, routing.clone(), stop_rx)));
+        ingress.push(tokio::spawn(node_ingress(port, routing.clone(), stop_rx)));
     }
     NodeHandle {
         stops,
-        joins,
+        ingress,
+        workers,
         sessions: session_handle,
     }
 }
 
 /// One port's ingress: peek the flow id, pick the plane, pick the
-/// shard, hand the frozen buffer over. Datagram semantics — a full
-/// worker inbox sheds the packet rather than stalling the other shards.
+/// shard, hand the frozen buffer over. Full packet validation happens in
+/// the owning worker — the ingress reads 12 bytes per packet and never
+/// blocks on protocol work. Datagram semantics — a full worker inbox
+/// sheds the packet rather than stalling the other shards.
 async fn node_ingress(mut port: NodePort, routing: IngressRouting, mut stop: mpsc::Receiver<()>) {
     let local = port.addr;
     loop {
         let received = tokio::select! {
             maybe = port.rx.recv() => maybe,
+            // Clean shutdown (or node handle dropped).
             _ = stop.recv() => None,
         };
         let Some((from, bytes)) = received else { break };
@@ -936,29 +751,21 @@ async fn node_ingress(mut port: NodePort, routing: IngressRouting, mut stop: mps
     // every ingress has exited.
 }
 
-/// A command line that can go dormant once the last handle is dropped
-/// (so the worker's select loop does not spin on a closed channel).
-struct CmdLine {
-    rx: mpsc::Receiver<SessionCommand>,
-    _keep: Option<mpsc::Sender<SessionCommand>>,
-}
-
 /// One session shard's worker: owns the shard, drives packets, driver
 /// commands and the 50 ms wheel tick, transmits through the node's
 /// shared egress map, and reports session events.
 async fn session_worker(
     mut shard: SessionShard,
     mut packets: mpsc::Receiver<SessionPacket>,
-    cmds: mpsc::Receiver<SessionCommand>,
+    mut cmds: mpsc::Receiver<SessionCommand>,
     egress: Arc<HashMap<OverlayAddr, PortSender>>,
     events: Option<mpsc::UnboundedSender<SessionEvent>>,
     stats: Arc<SessionStatsAtomic>,
     epoch: Instant,
 ) {
-    let mut cmds = CmdLine {
-        rx: cmds,
-        _keep: None,
-    };
+    // Cleared once the last driver handle is dropped, so the select loop
+    // keeps serving packets instead of spinning on the closed channel.
+    let mut cmds_open = true;
     let mut ticker = tokio::time::interval(POLL_PERIOD);
     ticker.set_missed_tick_behavior(tokio::time::MissedTickBehavior::Delay);
     let mut scratch = Vec::new();
@@ -979,14 +786,11 @@ async fn session_worker(
                 let Some((id, local, from, bytes)) = maybe else { break };
                 handle(&mut shard, id, local, from, bytes)
             }
-            cmd = cmds.rx.recv() => {
+            cmd = cmds.recv(), if cmds_open => {
                 match cmd {
                     Some(cmd) => apply_session_command(&mut shard, cmd, &events, epoch),
                     None => {
-                        // Driver handle gone: keep serving packets, stop
-                        // selecting on the closed channel.
-                        let (keep, rx) = mpsc::channel(1);
-                        cmds = CmdLine { rx, _keep: Some(keep) };
+                        cmds_open = false;
                         continue;
                     }
                 }
@@ -1013,7 +817,8 @@ async fn session_worker(
             }
         }
         emit_session_events(&events, epoch, &mut out);
-        flush_instr_batches(&egress, out.sends, &mut scratch).await;
+        let misaddressed = flush_instr_batches(&egress, out.sends, &mut scratch).await;
+        (0..misaddressed).for_each(|_| stats.record_drop());
         shard.publish_stats();
     }
     shard.publish_stats();
@@ -1044,11 +849,6 @@ fn apply_session_command(
                 // the wire without racing reverse traffic.
                 Ok(()) => out.sends.extend(setup),
                 Err(e) => reject(id, e),
-            }
-        }
-        SessionCommand::OpenDest { id, dest } => {
-            if let Err(e) = shard.open_dest(now, id, *dest) {
-                reject(id, e);
             }
         }
         SessionCommand::Send { id, payload } => match shard.send(now, id, &payload) {
@@ -1138,14 +938,23 @@ fn emit_session_events(
 /// interleave rather than run consecutively; grouping across the flush
 /// is what makes the batches dense. Per-destination order is preserved
 /// (the only order a datagram transport carries); ordering *between*
-/// destinations has no protocol meaning. Sends from addresses the node
-/// does not own are dropped (a mis-addressed instruction, not a
-/// transport error).
+/// destinations has no protocol meaning.
+///
+/// `batches` is the caller's scratch: drained buckets stay in it so
+/// their allocations serve the next flush to the same neighbours, but
+/// once more than [`EGRESS_BUCKETS_KEPT`] have piled up every bucket the
+/// current flush does not use is released — a long-lived worker never
+/// holds (or scans, or offers the transport) a bucket per neighbour it
+/// has ever sent to.
+///
+/// Returns how many frames were dropped because the node owns no port at
+/// their `from` address (a mis-addressed instruction, not a transport
+/// error) for the caller to count.
 async fn flush_instr_batches(
     egress: &HashMap<OverlayAddr, PortSender>,
     sends: Vec<SendInstr>,
     batches: &mut Vec<((OverlayAddr, OverlayAddr), Vec<Bytes>)>,
-) {
+) -> u64 {
     // A flush touches a handful of neighbours; linear scan over the
     // bucket list beats a map allocation at these sizes.
     for instr in sends {
@@ -1159,15 +968,19 @@ async fn flush_instr_batches(
         };
         frames.push(instr.packet.encode());
     }
-    for ((from, to), frames) in batches.iter_mut() {
+    if batches.len() > EGRESS_BUCKETS_KEPT {
+        batches.retain(|(_, frames)| !frames.is_empty());
+    }
+    let mut misaddressed = 0;
+    for ((from, to), frames) in batches.iter_mut().filter(|(_, f)| !f.is_empty()) {
         if let Some(port) = egress.get(from) {
             port.send_many(*to, frames).await;
         } else {
+            misaddressed += frames.len() as u64;
             frames.clear();
         }
     }
-    // Keep the bucket allocations (frame Vecs are drained in place).
-    batches.retain(|(_, frames)| frames.capacity() > 0);
+    misaddressed
 }
 
 /// Spawn an onion relay daemon on `port`.
@@ -1218,7 +1031,9 @@ pub fn now_tick(epoch: Instant) -> Tick {
 mod tests {
     use super::*;
     use crate::EmulatedNet;
+    use slicing_core::GraphParams;
     use slicing_sim::wan::NetProfile;
+    use slicing_wire::{PacketHeader, PacketKind};
 
     /// Wait (bounded) until `cond` observes the shared stats; returns
     /// the last snapshot (see [`crate::testutil`]).
@@ -1229,45 +1044,30 @@ mod tests {
         crate::testutil::wait_until(|| stats.snapshot(), cond).await
     }
 
-    #[tokio::test]
-    async fn relay_daemon_drops_garbage() {
-        let net = EmulatedNet::new(NetProfile::lan(), 1);
-        let relay_port = net.attach(OverlayAddr(10));
-        let sender = net.attach(OverlayAddr(11));
-        let (events_tx, _events_rx) = mpsc::unbounded_channel();
-        let relay = RelayNode::new(OverlayAddr(10), 7);
-        let stats = relay.shared_stats();
-        let handle = spawn_relay(relay, relay_port, events_tx, Instant::now());
-        sender
-            .tx
-            .send(OverlayAddr(10), bytes::Bytes::from(&b"not a packet"[..]))
-            .await;
-        let seen = wait_stats(&stats, |s| s.garbage >= 1).await;
-        assert_eq!(seen.garbage, 1, "daemon must count the unparseable frame");
-        assert_eq!(seen.packets_in, 0, "garbage never reaches the engine");
-        handle.abort();
+    /// A relay-only node for `relay` on `port`.
+    fn relay_node(
+        relay: ShardedRelay,
+        port: NodePort,
+    ) -> (NodeHandle, mpsc::UnboundedReceiver<OverlayEvent>) {
+        let (events, events_rx) = mpsc::unbounded_channel();
+        let node = spawn_node(NodeSpec {
+            relay: Some(relay),
+            sessions: None,
+            ports: vec![port],
+            dest_sessions: None,
+            events,
+            session_events: None,
+            epoch: Instant::now(),
+        });
+        (node, events_rx)
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn sharded_daemon_drops_garbage_at_ingress() {
-        let net = EmulatedNet::new(NetProfile::lan(), 2);
-        let relay_port = net.attach(OverlayAddr(10));
-        let sender = net.attach(OverlayAddr(11));
-        let (events_tx, _events_rx) = mpsc::unbounded_channel();
-        let relay = ShardedRelay::new(OverlayAddr(10), 7, 4);
-        let stats = relay.shared_stats();
-        let handle = spawn_sharded_relay(relay, relay_port, events_tx, Instant::now());
-        // Fails the ingress peek (bad magic): counted by the dispatcher.
-        sender
-            .tx
-            .send(OverlayAddr(10), bytes::Bytes::from(&b"not a packet"[..]))
-            .await;
-        // Passes the peek but fails full validation (truncated body):
-        // counted by the owning shard.
-        let valid = slicing_wire::Packet::new(
-            slicing_wire::PacketHeader {
-                kind: slicing_wire::PacketKind::Data,
-                flow_id: slicing_wire::FlowId(99),
+    /// A well-formed one-slot data packet on an unknown flow.
+    fn data_packet() -> Packet {
+        Packet::new(
+            PacketHeader {
+                kind: PacketKind::Data,
+                flow_id: FlowId(99),
                 seq: 0,
                 d: 2,
                 slot_count: 1,
@@ -1275,13 +1075,127 @@ mod tests {
             },
             vec![vec![0u8; 10]],
         )
-        .encode();
-        sender
-            .tx
-            .send(OverlayAddr(10), valid.slice(..valid.len() - 1))
-            .await;
-        let seen = wait_stats(&stats, |s| s.garbage >= 2).await;
-        assert_eq!(seen.garbage, 2, "both rejects must be counted");
-        handle.abort();
+    }
+
+    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
+    async fn node_drops_garbage_at_ingress_and_worker() {
+        for shards in [1, 4] {
+            let net = EmulatedNet::new(NetProfile::lan(), 2);
+            let relay_port = net.attach(OverlayAddr(10));
+            let sender = net.attach(OverlayAddr(11));
+            let relay = ShardedRelay::new(OverlayAddr(10), 7, shards);
+            let stats = relay.shared_stats();
+            let (_node, _events) = relay_node(relay, relay_port);
+            // Fails the ingress peek (bad magic): counted at the ingress.
+            sender
+                .tx
+                .send(OverlayAddr(10), Bytes::from(&b"not a packet"[..]))
+                .await;
+            let seen = wait_stats(&stats, |s| s.garbage >= 1).await;
+            assert_eq!(seen.garbage, 1, "{shards} shard(s): bad magic dies at the ingress");
+            // Passes the peek but fails full validation (truncated
+            // body): counted by the owning shard's worker.
+            let valid = data_packet().encode();
+            sender
+                .tx
+                .send(OverlayAddr(10), valid.slice(..valid.len() - 1))
+                .await;
+            let seen = wait_stats(&stats, |s| s.garbage >= 2).await;
+            assert_eq!(seen.garbage, 2, "{shards} shard(s): both rejects must be counted");
+            assert_eq!(seen.packets_in, 0, "{shards} shard(s): garbage never reaches the engine");
+        }
+    }
+
+    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
+    async fn dropping_the_handle_stops_ingress_and_workers() {
+        let net = EmulatedNet::new(NetProfile::lan(), 3);
+        let relay = ShardedRelay::new(OverlayAddr(10), 7, 4);
+        let stats = relay.shared_stats();
+        let (node, mut events_rx) = relay_node(relay, net.attach(OverlayAddr(10)));
+        // The ingress (through its routing table) and every shard hold
+        // a clone of the stats cell while they run.
+        assert!(Arc::strong_count(&stats) > 1);
+        drop(node);
+        let holders =
+            crate::testutil::wait_until(|| Arc::strong_count(&stats), |&n| n == 1).await;
+        assert_eq!(holders, 1, "an ingress or shard worker outlived the handle");
+        // Each worker held an events sender; all of them are gone.
+        assert!(events_rx.recv().await.is_none());
+    }
+
+    #[tokio::test]
+    async fn egress_buckets_do_not_outlive_their_flush() {
+        let net = EmulatedNet::new(NetProfile::lan(), 4);
+        let me = OverlayAddr(1);
+        let egress = HashMap::from([(me, net.attach(me).tx)]);
+        let sends = |neighbours: u64| -> Vec<SendInstr> {
+            (0..neighbours)
+                .map(|i| SendInstr {
+                    from: me,
+                    to: OverlayAddr(100 + i),
+                    packet: data_packet(),
+                })
+                .collect()
+        };
+        let mut batches = Vec::new();
+        assert_eq!(flush_instr_batches(&egress, sends(200), &mut batches).await, 0);
+        assert_eq!(batches.len(), 200);
+        assert_eq!(flush_instr_batches(&egress, sends(1), &mut batches).await, 0);
+        assert_eq!(batches.len(), 1, "buckets of earlier flushes must be released");
+        // Under the cap, idle buckets keep their allocation.
+        assert_eq!(flush_instr_batches(&egress, sends(8), &mut batches).await, 0);
+        assert_eq!(flush_instr_batches(&egress, sends(1), &mut batches).await, 0);
+        assert_eq!(batches.len(), 8);
+        assert!(batches.iter().all(|(_, frames)| frames.is_empty()));
+    }
+
+    /// A relay spawned on a port that is not its address, and a session
+    /// whose pseudo-sources the node does not own, both lose every send
+    /// — visibly, in their plane's `drops`.
+    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
+    async fn misaddressed_sends_are_counted_as_drops() {
+        let net = EmulatedNet::new(NetProfile::lan(), 5);
+        let pseudo_ports = [net.attach(OverlayAddr(501)), net.attach(OverlayAddr(502))];
+        let pseudo: Vec<OverlayAddr> = pseudo_ports.iter().map(|p| p.addr).collect();
+        let candidates: Vec<OverlayAddr> = (0..16).map(|i| OverlayAddr(20_000 + i)).collect();
+        let params = GraphParams::new(3, 2).with_paths(2);
+        let establish = |seed| {
+            SourceSession::establish(params, &pseudo, &candidates, OverlayAddr(1), seed)
+                .expect("valid params")
+        };
+
+        // Relay plane: the engine says it is OverlayAddr(10), the port is
+        // attached at OverlayAddr(12). Establish a flow on it so it has
+        // setup slices to forward.
+        let relay = ShardedRelay::new(OverlayAddr(10), 7, 1);
+        let relay_stats = relay.shared_stats();
+        let (_relay_node, _events) = relay_node(relay, net.attach(OverlayAddr(12)));
+        let (source, setup) = establish(21);
+        let target = source.graph().stages[1][0];
+        for instr in setup.iter().filter(|i| i.to == target) {
+            let port = pseudo_ports.iter().find(|p| p.addr == instr.from).expect("pseudo");
+            port.tx.send(OverlayAddr(12), instr.packet.encode()).await;
+        }
+        let seen = wait_stats(&relay_stats, |s| s.packets_out > 0).await;
+        assert_eq!(seen.flows_established, 1, "stats: {seen:?}");
+        assert!(seen.drops > 0, "forwarded setup must be counted lost: {seen:?}");
+
+        // Session plane: ports at 601/602, sessions claiming 501/502.
+        let (events, _events_rx) = mpsc::unbounded_channel();
+        let node = spawn_node(NodeSpec {
+            relay: None,
+            sessions: Some(SessionManager::new(1, 8, SessionConfig::default())),
+            ports: vec![net.attach(OverlayAddr(601)), net.attach(OverlayAddr(602))],
+            dest_sessions: None,
+            events,
+            session_events: None,
+            epoch: Instant::now(),
+        });
+        let sessions = node.sessions.clone().expect("session plane");
+        let (source, setup) = establish(22);
+        let lost = setup.len() as u64;
+        sessions.open_source(source, setup).await;
+        let seen = crate::testutil::wait_until(|| sessions.stats(), |s| s.drops >= lost).await;
+        assert_eq!(seen.drops, lost, "every setup send is mis-addressed");
     }
 }

@@ -9,8 +9,8 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use slicing_core::{
-    DestPlacement, GraphParams, OverlayAddr, RelayConfig, RelayNode, SessionConfig,
-    SessionManager, ShardedRelay, SourceConfig, SourceSession,
+    DestPlacement, GraphParams, OverlayAddr, RelayConfig, SessionConfig, SessionManager,
+    ShardedRelay, SourceConfig, SourceSession,
 };
 use slicing_graph::packets::SendInstr;
 use slicing_onion::{Directory, OnionRelay, OnionSource};
@@ -19,33 +19,10 @@ use slicing_sim::wan::NetProfile;
 use tokio::sync::mpsc;
 
 use crate::daemon::{
-    now_tick, spawn_node, spawn_onion_relay, spawn_relay, spawn_sharded_relay, DestSessionSpec,
-    NodeSpec, OverlayEvent, RelayDaemon, SessionEvent,
+    now_tick, spawn_node, spawn_onion_relay, DestSessionSpec, NodeHandle, NodeSpec, OverlayEvent,
+    SessionEvent, SessionHandle,
 };
 use crate::{EmulatedNet, NodePort, TcpNet, UdpFaults, UdpNet, UdpStatsSnapshot};
-
-/// Spawn one relay daemon: the classic single-task loop for one shard,
-/// the sharded ingress/worker runtime otherwise.
-fn spawn_relay_daemon(
-    addr: OverlayAddr,
-    seed: u64,
-    config: RelayConfig,
-    shards: usize,
-    port: NodePort,
-    events: mpsc::UnboundedSender<OverlayEvent>,
-    epoch: Instant,
-) -> RelayDaemon {
-    if shards > 1 {
-        spawn_sharded_relay(
-            ShardedRelay::with_config(addr, seed, config, shards),
-            port,
-            events,
-            epoch,
-        )
-    } else {
-        spawn_relay(RelayNode::with_config(addr, seed, config), port, events, epoch)
-    }
-}
 
 /// Which transport to measure over.
 #[derive(Clone, Debug)]
@@ -74,8 +51,8 @@ pub struct TransferConfig {
     pub seed: u64,
     /// Hard deadline for the whole run.
     pub timeout: Duration,
-    /// Shards per relay daemon (1 = classic single-task daemons; more
-    /// runs every relay through the sharded ingress/worker runtime).
+    /// Shards per relay node: the worker tasks behind each node's
+    /// ingress (1 = one worker owning the whole flow table).
     pub relay_shards: usize,
     /// Relay engine tuning (timeouts, keepalive/liveness intervals).
     pub relay_config: RelayConfig,
@@ -157,58 +134,149 @@ fn make_net(t: &Transport, seed: u64) -> NetHandle {
     }
 }
 
+/// A live overlay for one experiment run: `d′` pseudo-source ports, an
+/// optional dedicated destination and a relay pool, every node of it a
+/// relay-plane [`spawn_node`].
+struct Overlay {
+    /// The source's attachment points, not yet driven by anyone.
+    pseudo_ports: Vec<NodePort>,
+    /// The dedicated destination node (outside the relay pool).
+    dest_addr: Option<OverlayAddr>,
+    /// The relay pool Algorithm 1 draws from.
+    relay_addrs: Vec<OverlayAddr>,
+    /// Every running node; dropping (or shutting down) a handle takes
+    /// the node off the overlay.
+    nodes: HashMap<OverlayAddr, NodeHandle>,
+    events_tx: mpsc::UnboundedSender<OverlayEvent>,
+    events_rx: mpsc::UnboundedReceiver<OverlayEvent>,
+    epoch: Instant,
+}
+
+impl Overlay {
+    /// Attach everything (the transport assigns addresses on TCP/UDP)
+    /// and spawn one node per relay-pool member plus, with
+    /// `dedicated_dest`, one for the destination — each running
+    /// `relay(addr)` with `dest_sessions` colocated on its receiver
+    /// flows.
+    async fn bring_up(
+        net: &NetHandle,
+        paths: usize,
+        dedicated_dest: bool,
+        relays: usize,
+        relay: impl Fn(OverlayAddr) -> ShardedRelay,
+        dest_sessions: Option<DestSessionSpec>,
+    ) -> Overlay {
+        let mut pseudo_ports = Vec::with_capacity(paths);
+        for i in 0..paths {
+            pseudo_ports.push(net.attach(OverlayAddr(1_000 + i as u64)).await);
+        }
+        let mut ports = Vec::with_capacity(relays + 1);
+        if dedicated_dest {
+            ports.push(net.attach(OverlayAddr(1)).await);
+        }
+        for i in 0..relays {
+            ports.push(net.attach(OverlayAddr(10_000 + i as u64)).await);
+        }
+        let dest_addr = dedicated_dest.then(|| ports[0].addr);
+        let relay_addrs = ports[usize::from(dedicated_dest)..]
+            .iter()
+            .map(|p| p.addr)
+            .collect();
+
+        let (events_tx, events_rx) = mpsc::unbounded_channel();
+        let epoch = Instant::now();
+        let nodes = ports
+            .into_iter()
+            .map(|port| {
+                let addr = port.addr;
+                let node = spawn_node(NodeSpec {
+                    relay: Some(relay(addr)),
+                    sessions: None,
+                    ports: vec![port],
+                    dest_sessions: dest_sessions.clone(),
+                    events: events_tx.clone(),
+                    session_events: None,
+                    epoch,
+                });
+                (addr, node)
+            })
+            .collect();
+        Overlay {
+            pseudo_ports,
+            dest_addr,
+            relay_addrs,
+            nodes,
+            events_tx,
+            events_rx,
+            epoch,
+        }
+    }
+
+    /// Wait for the dedicated destination's receiver flow to establish;
+    /// `false` if `timeout` passes first.
+    async fn dest_established(&mut self, timeout: Duration) -> bool {
+        let deadline = tokio::time::sleep(timeout);
+        tokio::pin!(deadline);
+        loop {
+            tokio::select! {
+                ev = self.events_rx.recv() => match ev {
+                    Some(OverlayEvent::Established { addr, receiver: true, .. })
+                        if Some(addr) == self.dest_addr => return true,
+                    Some(_) => continue,
+                    None => return false,
+                },
+                _ = &mut deadline => return false,
+            }
+        }
+    }
+
+    /// Spawn the source node: `manager`'s session plane over the
+    /// pseudo-source ports.
+    fn spawn_source(
+        &mut self,
+        manager: SessionManager,
+    ) -> (NodeHandle, SessionHandle, mpsc::UnboundedReceiver<SessionEvent>) {
+        let (session_events_tx, session_events_rx) = mpsc::unbounded_channel();
+        let node = spawn_node(NodeSpec {
+            relay: None,
+            sessions: Some(manager),
+            ports: std::mem::take(&mut self.pseudo_ports),
+            dest_sessions: None,
+            events: self.events_tx.clone(),
+            session_events: Some(session_events_tx),
+            epoch: self.epoch,
+        });
+        let sessions = node
+            .sessions
+            .clone()
+            .expect("source node hosts the session plane");
+        (node, sessions, session_events_rx)
+    }
+}
+
 /// Run one information-slicing transfer end to end; see
 /// [`TransferConfig`].
 pub async fn run_slicing_transfer(cfg: &TransferConfig) -> TransferReport {
     let net = make_net(&cfg.transport, cfg.seed);
     let params = cfg.params;
-    let dp = params.paths;
-    let relay_count = params.relay_count() + 4;
-
-    // Attach everything (transport assigns addresses for TCP).
-    let mut pseudo_ports = Vec::with_capacity(dp);
-    for i in 0..dp {
-        pseudo_ports.push(net.attach(OverlayAddr(1_000 + i as u64)).await);
-    }
-    let dest_port = net.attach(OverlayAddr(1)).await;
-    let dest_addr = dest_port.addr;
-    let mut relay_ports = Vec::with_capacity(relay_count);
-    for i in 0..relay_count {
-        relay_ports.push(net.attach(OverlayAddr(10_000 + i as u64)).await);
-    }
+    let mut overlay = Overlay::bring_up(
+        &net,
+        params.paths,
+        true,
+        params.relay_count() + 4,
+        |addr| ShardedRelay::with_config(addr, cfg.seed, cfg.relay_config, cfg.relay_shards),
+        None,
+    )
+    .await;
+    let dest_addr = overlay.dest_addr.expect("dedicated destination");
+    let pseudo_ports = std::mem::take(&mut overlay.pseudo_ports);
     let pseudo_addrs: Vec<OverlayAddr> = pseudo_ports.iter().map(|p| p.addr).collect();
-    let candidate_addrs: Vec<OverlayAddr> = relay_ports.iter().map(|p| p.addr).collect();
-
-    // Daemons.
-    let (events_tx, mut events_rx) = mpsc::unbounded_channel();
-    let epoch = Instant::now();
-    let mut handles = Vec::new();
-    for port in relay_ports {
-        handles.push(spawn_relay_daemon(
-            port.addr,
-            cfg.seed,
-            cfg.relay_config,
-            cfg.relay_shards,
-            port,
-            events_tx.clone(),
-            epoch,
-        ));
-    }
-    handles.push(spawn_relay_daemon(
-        dest_addr,
-        cfg.seed,
-        cfg.relay_config,
-        cfg.relay_shards,
-        dest_port,
-        events_tx.clone(),
-        epoch,
-    ));
 
     // Source: build graph, emit setup from the pseudo-source ports.
     let (mut source, setup) = SourceSession::establish(
         params,
         &pseudo_addrs,
-        &candidate_addrs,
+        &overlay.relay_addrs,
         dest_addr,
         cfg.seed,
     )
@@ -224,25 +292,10 @@ pub async fn run_slicing_transfer(cfg: &TransferConfig) -> TransferReport {
 
     // Wait for the destination to establish.
     let mut report = TransferReport::default();
-    let deadline = tokio::time::sleep(cfg.timeout);
-    tokio::pin!(deadline);
-    loop {
-        tokio::select! {
-            ev = events_rx.recv() => {
-                match ev {
-                    Some(OverlayEvent::Established { addr, receiver: true, .. })
-                        if addr == dest_addr =>
-                    {
-                        report.setup_ms = setup_start.elapsed().as_millis() as u64;
-                        break;
-                    }
-                    Some(_) => continue,
-                    None => return report,
-                }
-            }
-            _ = &mut deadline => return report,
-        }
+    if !overlay.dest_established(cfg.timeout).await {
+        return report;
     }
+    report.setup_ms = setup_start.elapsed().as_millis() as u64;
 
     // Data phase.
     let payload_len = cfg.payload_len.min(source.max_chunk_len());
@@ -263,7 +316,7 @@ pub async fn run_slicing_transfer(cfg: &TransferConfig) -> TransferReport {
     tokio::pin!(deadline);
     while delivered < cfg.messages {
         tokio::select! {
-            ev = events_rx.recv() => {
+            ev = overlay.events_rx.recv() => {
                 match ev {
                     Some(OverlayEvent::MessageReceived { addr, len, .. }) if addr == dest_addr => {
                         delivered += 1;
@@ -283,9 +336,6 @@ pub async fn run_slicing_transfer(cfg: &TransferConfig) -> TransferReport {
     let (p, b) = net.counters();
     report.wire_packets = p;
     report.wire_bytes = b;
-    for h in handles {
-        h.abort();
-    }
     report
 }
 
@@ -409,7 +459,7 @@ pub struct MultiFlowReport {
 
 /// Fig. 13: `flows` concurrent anonymous flows over a shared overlay of
 /// `overlay_size` relay nodes (the paper: 100 nodes, d = 3, L = 5),
-/// each relay sharded `relay_shards` ways (1 = classic daemons).
+/// each relay sharded `relay_shards` ways.
 ///
 /// Built on the combined-node runtime: every overlay node is a
 /// [`spawn_node`] hosting relay + destination roles (receiver flows get
@@ -431,9 +481,7 @@ pub async fn run_multi_flow(
     timeout: Duration,
 ) -> MultiFlowReport {
     let net = make_net(&transport, seed);
-    let (events_tx, mut events_rx) = mpsc::unbounded_channel();
     let (deliveries_tx, mut deliveries_rx) = mpsc::unbounded_channel();
-    let epoch = Instant::now();
     let relay_config = RelayConfig {
         data_flush_ms: 250,
         ..RelayConfig::default()
@@ -445,55 +493,28 @@ pub async fn run_multi_flow(
     };
 
     // Shared overlay nodes: relay + destination roles combined.
-    let mut node_addrs = Vec::with_capacity(overlay_size);
-    let mut handles = Vec::new();
-    for i in 0..overlay_size {
-        let port = net.attach(OverlayAddr(10_000 + i as u64)).await;
-        node_addrs.push(port.addr);
-        handles.push(spawn_node(NodeSpec {
-            relay: Some(ShardedRelay::with_config(
-                port.addr,
-                seed,
-                relay_config,
-                relay_shards,
-            )),
-            sessions: None,
-            ports: vec![port],
-            dest_sessions: Some(DestSessionSpec {
-                config: session_config,
-                seed,
-                deliveries: deliveries_tx.clone(),
-            }),
-            events: events_tx.clone(),
-            session_events: None,
-            epoch,
-        }));
-    }
+    let mut overlay = Overlay::bring_up(
+        &net,
+        params.paths,
+        false,
+        overlay_size,
+        |addr| ShardedRelay::with_config(addr, seed, relay_config, relay_shards),
+        Some(DestSessionSpec {
+            config: session_config,
+            seed,
+            deliveries: deliveries_tx,
+        }),
+    )
+    .await;
 
     // The source node: d′ shared pseudo-source ports, one session
     // manager sharded like the relays.
-    let mut pseudo_ports = Vec::with_capacity(params.paths);
-    for i in 0..params.paths {
-        pseudo_ports.push(net.attach(OverlayAddr(1_000_000 + i as u64)).await);
-    }
-    let pseudo_addrs: Vec<OverlayAddr> = pseudo_ports.iter().map(|p| p.addr).collect();
+    let pseudo_addrs: Vec<OverlayAddr> = overlay.pseudo_ports.iter().map(|p| p.addr).collect();
     let manager = SessionManager::new(relay_shards.max(1), flows.max(1) * 2 + 8, session_config);
-    let (session_events_tx, mut session_events_rx) = mpsc::unbounded_channel();
-    let source_node = spawn_node(NodeSpec {
-        relay: None,
-        sessions: Some(manager),
-        ports: pseudo_ports,
-        dest_sessions: None,
-        events: events_tx.clone(),
-        session_events: Some(session_events_tx),
-        epoch,
-    });
-    let sessions = source_node
-        .sessions
-        .clone()
-        .expect("source node hosts the session plane");
+    let (_source_node, sessions, mut session_events_rx) = overlay.spawn_source(manager);
 
     // Open one session per flow (destinations are overlay nodes).
+    let node_addrs = &overlay.relay_addrs;
     let mut rng = StdRng::seed_from_u64(seed);
     let mut opened = 0usize;
     let mut session_ids = Vec::with_capacity(flows);
@@ -544,7 +565,7 @@ pub async fn run_multi_flow(
                     None => break,
                 }
             }
-            ev = events_rx.recv() => {
+            ev = overlay.events_rx.recv() => {
                 match ev {
                     Some(OverlayEvent::Established { flow, receiver: true, .. }) => {
                         established.insert(flow);
@@ -576,10 +597,6 @@ pub async fn run_multi_flow(
     report.aggregate_mbps =
         throughput_mbps_f(report.payload_bytes, data_start.elapsed().as_secs_f64());
     report.udp = net.udp_stats();
-    source_node.abort();
-    for h in handles {
-        h.abort();
-    }
     report
 }
 
@@ -670,72 +687,35 @@ pub struct SessionTransferReport {
 pub async fn run_session_transfer(cfg: &SessionTransferConfig) -> SessionTransferReport {
     let net = make_net(&cfg.transport, cfg.seed ^ 0x5E55);
     let params = cfg.params;
-    let dp = params.paths;
-    let relay_count = params.relay_count() + 4;
     let mut report = SessionTransferReport::default();
-
-    // Attach everything (the transport assigns addresses on TCP).
-    let mut pseudo_ports = Vec::with_capacity(dp);
-    for i in 0..dp {
-        pseudo_ports.push(net.attach(OverlayAddr(1_000 + i as u64)).await);
-    }
-    let dest_port = net.attach(OverlayAddr(1)).await;
-    let dest_addr = dest_port.addr;
-    let mut relay_ports = Vec::with_capacity(relay_count);
-    for i in 0..relay_count {
-        relay_ports.push(net.attach(OverlayAddr(10_000 + i as u64)).await);
-    }
-    let pseudo_addrs: Vec<OverlayAddr> = pseudo_ports.iter().map(|p| p.addr).collect();
-    let candidate_addrs: Vec<OverlayAddr> = relay_ports.iter().map(|p| p.addr).collect();
 
     // Combined nodes: every relay (and the destination) hosts the relay
     // plane plus colocated destination sessions.
-    let (events_tx, mut events_rx) = mpsc::unbounded_channel();
     let (deliveries_tx, mut deliveries_rx) = mpsc::unbounded_channel();
-    let epoch = Instant::now();
-    let mut handles = Vec::new();
-    for port in relay_ports.into_iter().chain(std::iter::once(dest_port)) {
-        handles.push(spawn_node(NodeSpec {
-            relay: Some(ShardedRelay::with_config(
-                port.addr,
-                cfg.seed,
-                cfg.relay_config,
-                cfg.relay_shards,
-            )),
-            sessions: None,
-            ports: vec![port],
-            dest_sessions: Some(DestSessionSpec {
-                config: cfg.session_config,
-                seed: cfg.seed,
-                deliveries: deliveries_tx.clone(),
-            }),
-            events: events_tx.clone(),
-            session_events: None,
-            epoch,
-        }));
-    }
+    let mut overlay = Overlay::bring_up(
+        &net,
+        params.paths,
+        true,
+        params.relay_count() + 4,
+        |addr| ShardedRelay::with_config(addr, cfg.seed, cfg.relay_config, cfg.relay_shards),
+        Some(DestSessionSpec {
+            config: cfg.session_config,
+            seed: cfg.seed,
+            deliveries: deliveries_tx,
+        }),
+    )
+    .await;
+    let dest_addr = overlay.dest_addr.expect("dedicated destination");
 
     // The source node: session plane over the pseudo-source ports.
-    let (session_events_tx, mut session_events_rx) = mpsc::unbounded_channel();
+    let pseudo_addrs: Vec<OverlayAddr> = overlay.pseudo_ports.iter().map(|p| p.addr).collect();
     let manager = SessionManager::new(cfg.session_shards.max(1), 16, cfg.session_config);
-    let source_node = spawn_node(NodeSpec {
-        relay: None,
-        sessions: Some(manager),
-        ports: pseudo_ports,
-        dest_sessions: None,
-        events: events_tx.clone(),
-        session_events: Some(session_events_tx),
-        epoch,
-    });
-    let sessions = source_node
-        .sessions
-        .clone()
-        .expect("source node hosts the session plane");
+    let (_source_node, sessions, mut session_events_rx) = overlay.spawn_source(manager);
 
     let (source, setup) = match SourceSession::establish(
         params,
         &pseudo_addrs,
-        &candidate_addrs,
+        &overlay.relay_addrs,
         dest_addr,
         cfg.seed,
     ) {
@@ -746,18 +726,8 @@ pub async fn run_session_transfer(cfg: &SessionTransferConfig) -> SessionTransfe
     let id = sessions.open_source(source, setup).await;
 
     // Wait for the destination's receiver flow.
-    let deadline = tokio::time::sleep(cfg.timeout);
-    tokio::pin!(deadline);
-    loop {
-        tokio::select! {
-            ev = events_rx.recv() => match ev {
-                Some(OverlayEvent::Established { addr, receiver: true, .. })
-                    if addr == dest_addr => break,
-                Some(_) => continue,
-                None => return report,
-            },
-            _ = &mut deadline => return report,
-        }
+    if !overlay.dest_established(cfg.timeout).await {
+        return report;
     }
     report.established = true;
 
@@ -808,10 +778,6 @@ pub async fn run_session_transfer(cfg: &SessionTransferConfig) -> SessionTransfe
     report.source_drained = acked == cfg.messages;
     report.retransmits = sessions.stats().retransmits;
     report.udp = net.udp_stats();
-    source_node.abort();
-    for h in handles {
-        h.abort();
-    }
     report
 }
 
@@ -925,56 +891,24 @@ impl NetHandle {
 pub async fn run_churn_session(cfg: &ChurnSessionConfig) -> ChurnSessionReport {
     let net = make_net(&cfg.transport, cfg.seed);
     let params = cfg.params;
-    let dp = params.paths;
-    let candidate_count = params.relay_count() + cfg.spares + 4;
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x00C0_FFEE);
     let mut report = ChurnSessionReport::default();
 
-    // Attach everything (the transport assigns addresses on TCP).
-    let mut pseudo_ports = Vec::with_capacity(dp);
-    for i in 0..dp {
-        pseudo_ports.push(net.attach(OverlayAddr(1_000 + i as u64)).await);
-    }
-    let dest_port = net.attach(OverlayAddr(1)).await;
-    let dest_addr = dest_port.addr;
-    let mut relay_ports = Vec::with_capacity(candidate_count);
-    for i in 0..candidate_count {
-        relay_ports.push(net.attach(OverlayAddr(10_000 + i as u64)).await);
-    }
+    // Nodes stay addressable in `overlay.nodes` for mid-session kills.
+    let mut overlay = Overlay::bring_up(
+        &net,
+        params.paths,
+        true,
+        params.relay_count() + cfg.spares + 4,
+        |addr| ShardedRelay::with_config(addr, cfg.seed, cfg.relay_config, cfg.relay_shards),
+        None,
+    )
+    .await;
+    let dest_addr = overlay.dest_addr.expect("dedicated destination");
+    let epoch = overlay.epoch;
+    let pseudo_ports = std::mem::take(&mut overlay.pseudo_ports);
     let pseudo_addrs: Vec<OverlayAddr> = pseudo_ports.iter().map(|p| p.addr).collect();
-    let candidate_addrs: Vec<OverlayAddr> = relay_ports.iter().map(|p| p.addr).collect();
-
-    // Daemons, addressable for mid-session kills.
-    let (events_tx, mut events_rx) = mpsc::unbounded_channel();
-    let epoch = Instant::now();
-    let mut daemons: HashMap<OverlayAddr, RelayDaemon> = HashMap::new();
-    for port in relay_ports {
-        let addr = port.addr;
-        daemons.insert(
-            addr,
-            spawn_relay_daemon(
-                addr,
-                cfg.seed,
-                cfg.relay_config,
-                cfg.relay_shards,
-                port,
-                events_tx.clone(),
-                epoch,
-            ),
-        );
-    }
-    daemons.insert(
-        dest_addr,
-        spawn_relay_daemon(
-            dest_addr,
-            cfg.seed,
-            cfg.relay_config,
-            cfg.relay_shards,
-            dest_port,
-            events_tx.clone(),
-            epoch,
-        ),
-    );
+    let candidate_addrs = overlay.relay_addrs.clone();
 
     // Source session, tuned to the relays' liveness plane.
     let (mut source, setup) = match SourceSession::establish(
@@ -1024,18 +958,8 @@ pub async fn run_churn_session(cfg: &ChurnSessionConfig) -> ChurnSessionReport {
 
     // Establish, bounded by the session timeout.
     transmit(&pseudo_send, setup).await;
-    let deadline = tokio::time::sleep(cfg.timeout);
-    tokio::pin!(deadline);
-    loop {
-        tokio::select! {
-            ev = events_rx.recv() => match ev {
-                Some(OverlayEvent::Established { addr, receiver: true, .. })
-                    if addr == dest_addr => break,
-                Some(_) => continue,
-                None => return report,
-            },
-            _ = &mut deadline => return report,
-        }
+    if !overlay.dest_established(cfg.timeout).await {
+        return report;
     }
     report.established = true;
 
@@ -1081,7 +1005,7 @@ pub async fn run_churn_session(cfg: &ChurnSessionConfig) -> ChurnSessionReport {
                     source.handle_packet(now_tick(epoch), pseudo, from, &packet);
                 }
             }
-            ev = events_rx.recv() => {
+            ev = overlay.events_rx.recv() => {
                 if let Some(OverlayEvent::MessageReceived { addr, seq, .. }) = ev {
                     if addr == dest_addr {
                         delivered.insert(seq);
@@ -1090,8 +1014,8 @@ pub async fn run_churn_session(cfg: &ChurnSessionConfig) -> ChurnSessionReport {
             }
             _ = ticker.tick() => {
                 let now = data_start.elapsed();
-                // Kills whose time has come: shut the daemon down (on
-                // the emulated transport the hub blackholes it too).
+                // Kills whose time has come: shut the node down (on the
+                // emulated transport the hub blackholes it too).
                 while let Some(&(t, addr)) = kills.first() {
                     if t > now {
                         break;
@@ -1099,8 +1023,8 @@ pub async fn run_churn_session(cfg: &ChurnSessionConfig) -> ChurnSessionReport {
                     kills.remove(0);
                     if killed.insert(addr) {
                         net.fail(addr);
-                        if let Some(daemon) = daemons.remove(&addr) {
-                            daemon.shutdown().await;
+                        if let Some(node) = overlay.nodes.remove(&addr) {
+                            node.shutdown().await;
                         }
                         report.kills += 1;
                     }
@@ -1179,9 +1103,6 @@ pub async fn run_churn_session(cfg: &ChurnSessionConfig) -> ChurnSessionReport {
     report.messages_delivered = delivered.len();
     report.setup_packets = source.setup_packets_sent();
     report.success = report.messages_delivered >= cfg.messages;
-    for (_, daemon) in daemons {
-        daemon.abort();
-    }
     report
 }
 

@@ -27,8 +27,8 @@ pub mod testutil;
 pub mod udp;
 
 pub use daemon::{
-    spawn_node, spawn_onion_relay, spawn_relay, spawn_sharded_relay, DestSessionSpec, NodeHandle,
-    NodeSpec, OverlayEvent, RelayDaemon, SessionEvent, SessionHandle, StreamDelivery,
+    spawn_node, spawn_onion_relay, DestSessionSpec, NodeHandle, NodeSpec, OverlayEvent,
+    SessionEvent, SessionHandle, StreamDelivery,
 };
 pub use experiment::{run_churn_session, ChurnSessionConfig, ChurnSessionReport};
 pub use emu::EmulatedNet;
@@ -87,8 +87,8 @@ impl PortSender {
     /// shared state once per batch — the TCP connection cache, the
     /// emulated hub's topology lock, the UDP token bucket — and UDP
     /// additionally puts the whole batch on the wire in one
-    /// `sendmmsg`-shaped call. The sharded daemon's egress groups
-    /// consecutive same-destination sends into these batches.
+    /// `sendmmsg`-shaped call. The node workers' egress groups each
+    /// flush's same-destination sends into these batches.
     pub async fn send_many(&self, to: OverlayAddr, frames: &mut Vec<Bytes>) {
         match &self.inner {
             PortSenderInner::Emu(hub) => hub.send_many(self.addr, to, frames).await,

@@ -6,9 +6,9 @@
 
 use std::time::{Duration, Instant};
 
-use information_slicing::core::{GraphParams, OverlayAddr, RelayNode, SourceSession, Tick};
-use information_slicing::overlay::daemon::{now_tick, spawn_relay};
-use information_slicing::overlay::EmulatedNet;
+use information_slicing::core::{GraphParams, OverlayAddr, ShardedRelay, SourceSession, Tick};
+use information_slicing::overlay::daemon::now_tick;
+use information_slicing::overlay::{spawn_node, EmulatedNet, NodeSpec};
 use information_slicing::sim::NetProfile;
 use information_slicing::wire::Packet;
 use tokio::sync::mpsc;
@@ -19,24 +19,27 @@ async fn main() {
     let epoch = Instant::now();
     let (events_tx, _events_rx) = mpsc::unbounded_channel();
 
-    // Overlay relays (daemon tasks).
+    // Overlay relays (node daemons; dropping a handle stops its node).
     let mut candidates = Vec::new();
     let mut handles = Vec::new();
     for i in 0..24u64 {
         let port = net.attach(OverlayAddr(10_000 + i));
         candidates.push(port.addr);
-        handles.push(spawn_relay(
-            RelayNode::new(port.addr, 99),
-            port,
-            events_tx.clone(),
+        handles.push(spawn_node(NodeSpec {
+            relay: Some(ShardedRelay::new(port.addr, 99, 1)),
+            sessions: None,
+            ports: vec![port],
+            dest_sessions: None,
+            events: events_tx.clone(),
+            session_events: None,
             epoch,
-        ));
+        }));
     }
 
     // Bob: driven manually in this example so he can talk back.
     let mut bob_port = net.attach(OverlayAddr(1));
     let bob_addr = bob_port.addr;
-    let mut bob = RelayNode::new(bob_addr, 99);
+    let mut bob = ShardedRelay::new(bob_addr, 99, 1);
 
     // Alice: two pseudo-sources, a 4-stage graph with d = 2.
     let mut port_a = net.attach(OverlayAddr(501));
@@ -123,8 +126,5 @@ async fn main() {
             println!("two-way anonymous channel established — done.");
         }
         None => println!("no reply within deadline"),
-    }
-    for h in handles {
-        h.abort();
     }
 }
