@@ -53,7 +53,7 @@ use slicing_codec::{coder, recombine, InfoSlice};
 use slicing_crypto::SealingKey;
 use slicing_graph::info::NodeInfo;
 use slicing_graph::packets::SendInstr;
-use slicing_graph::OverlayAddr;
+use slicing_graph::{BuiltGraph, OverlayAddr};
 use slicing_wire::{crc, FlowId, Packet, PacketBuilder, PacketHeader, PacketKind};
 
 use crate::time::Tick;
@@ -910,7 +910,7 @@ impl RelayShard {
                     let own: Vec<InfoSlice> = gather
                         .packets
                         .values()
-                        .filter_map(|p| parse_clean_slot(d, block_len, p.slot(0)))
+                        .filter_map(|p| BuiltGraph::parse_slot(d, block_len, p.slot(0)))
                         .collect();
                     match coder::decode(&own, d) {
                         Err(_) => Establish::Failed { hard: false },
@@ -1084,7 +1084,7 @@ impl RelayShard {
         let slice = (packet.header.d as usize == d)
             .then(|| slot_len.checked_sub(d + 4))
             .flatten()
-            .and_then(|block_len| parse_clean_slot(d, block_len, packet.slot(0)));
+            .and_then(|block_len| BuiltGraph::parse_slot(d, block_len, packet.slot(0)));
         let Some(slice) = slice else {
             stats.drops += 1;
             return RelayOutput::default();
@@ -1421,6 +1421,11 @@ impl RelayShard {
                         self.stats.drops += 1;
                     }
                 }
+            } else {
+                // Malformed geometry: no slot this short can hold a
+                // slice. Counted — but like a packet of pure padding, the
+                // neighbour was still heard.
+                self.stats.drops += 1;
             }
             gather.heard.len() >= expected
         };
@@ -1657,13 +1662,6 @@ impl RelayShard {
         stats.packets_out += sends.len() as u64;
         Some(sends)
     }
-}
-
-/// Parse a clean (CRC-terminated) slot into a slice; `None` for padding
-/// or corruption.
-fn parse_clean_slot(d: usize, block_len: usize, slot: &[u8]) -> Option<InfoSlice> {
-    let payload = crc::check_crc(slot)?;
-    InfoSlice::from_bytes(d, block_len, payload)
 }
 
 /// FNV-1a over a byte string — the cheap fingerprint behind the per-flow

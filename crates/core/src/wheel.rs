@@ -24,8 +24,24 @@
 //!   re-validate when an entry fires (is the gather still unflushed? is
 //!   the flow actually idle?) and either act or re-arm. Stale entries
 //!   cost one match arm each.
+//! * **Bucket recycling**: a bucket the sweep leaves empty gives its
+//!   storage to a short spare list, and [`schedule`](TimerWheel::schedule)
+//!   starts an empty bucket from there. Deadlines cluster a fixed
+//!   distance ahead of the clock, so only a handful of buckets hold
+//!   entries at any time; without recycling every one of the buckets
+//!   would keep the capacity of its busiest moment and the wheel's
+//!   footprint would grow with elapsed time until a full rotation, then
+//!   sit at `buckets ×` the busiest bucket. With it the footprint follows
+//!   the live entries, and a steady load still allocates nothing: the
+//!   bucket being emptied is the one the next to fill is waiting for.
 
 use crate::time::Tick;
+
+/// Emptied buckets kept for reuse; storage beyond that is freed. Enough
+/// for a driver that polls every few bucket widths (each poll empties,
+/// and each interval starts, that many buckets) without holding more
+/// than a few buckets' worth of idle memory.
+const SPARE_BUCKETS: usize = 8;
 
 /// A hashed timer wheel mapping deadlines to caller-defined keys.
 #[derive(Clone, Debug)]
@@ -34,6 +50,9 @@ pub struct TimerWheel<K> {
     granularity_ms: u64,
     /// The buckets; each holds `(deadline, key)` pairs in arbitrary order.
     buckets: Vec<Vec<(Tick, K)>>,
+    /// Storage of buckets the sweep emptied (all empty, all with
+    /// capacity), at most [`SPARE_BUCKETS`] of them.
+    spare: Vec<Vec<(Tick, K)>>,
     /// The next bucket-time (in `granularity_ms` units) to sweep; only
     /// ever advances.
     cursor: u64,
@@ -53,6 +72,7 @@ impl<K> TimerWheel<K> {
         TimerWheel {
             granularity_ms,
             buckets: (0..buckets).map(|_| Vec::new()).collect(),
+            spare: Vec::with_capacity(SPARE_BUCKETS),
             cursor: 0,
             len: 0,
         }
@@ -77,8 +97,35 @@ impl<K> TimerWheel<K> {
         // the next poll delivers it.
         let bucket_time = (deadline.0 / self.granularity_ms).max(self.cursor);
         let idx = (bucket_time % self.buckets.len() as u64) as usize;
-        self.buckets[idx].push((deadline, key));
+        let bucket = &mut self.buckets[idx];
+        if bucket.capacity() == 0 {
+            if let Some(storage) = self.spare.pop() {
+                *bucket = storage;
+            }
+        }
+        bucket.push((deadline, key));
         self.len += 1;
+    }
+
+    /// Move every entry of bucket `idx` due by `now` into `out`; if that
+    /// empties the bucket, recycle its storage.
+    fn sweep_bucket(&mut self, idx: usize, now: Tick, out: &mut Vec<(Tick, K)>) {
+        let bucket = &mut self.buckets[idx];
+        let mut i = 0;
+        while i < bucket.len() {
+            if bucket[i].0 .0 <= now.0 {
+                out.push(bucket.swap_remove(i));
+                self.len -= 1;
+            } else {
+                i += 1;
+            }
+        }
+        if bucket.is_empty() && bucket.capacity() != 0 {
+            let storage = std::mem::take(bucket);
+            if self.spare.len() < SPARE_BUCKETS {
+                self.spare.push(storage);
+            }
+        }
     }
 
     /// Pop every entry with `deadline <= now` into `out` (appending, in
@@ -99,33 +146,16 @@ impl<K> TimerWheel<K> {
         let n = self.buckets.len() as u64;
         if now_bucket > self.cursor && now_bucket - self.cursor >= n {
             // Long gap: one full rotation covers every entry once.
-            for bucket in &mut self.buckets {
-                let mut i = 0;
-                while i < bucket.len() {
-                    if bucket[i].0 .0 <= now.0 {
-                        out.push(bucket.swap_remove(i));
-                        self.len -= 1;
-                    } else {
-                        i += 1;
-                    }
-                }
+            for idx in 0..self.buckets.len() {
+                self.sweep_bucket(idx, now, out);
             }
             self.cursor = now_bucket;
             debug_assert!(self.cursor >= swept_from, "wheel cursor moved backwards");
             return;
         }
         while self.cursor <= now_bucket {
-            let idx = (self.cursor % self.buckets.len() as u64) as usize;
-            let bucket = &mut self.buckets[idx];
-            let mut i = 0;
-            while i < bucket.len() {
-                if bucket[i].0 .0 <= now.0 {
-                    out.push(bucket.swap_remove(i));
-                    self.len -= 1;
-                } else {
-                    i += 1;
-                }
-            }
+            let idx = (self.cursor % n) as usize;
+            self.sweep_bucket(idx, now, out);
             if self.cursor == now_bucket {
                 // The current bucket is only partially elapsed: entries
                 // due later this bucket stay, and the cursor stays so the
@@ -141,6 +171,11 @@ impl<K> TimerWheel<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Entries' worth of storage the wheel holds, buckets and spares.
+    fn capacity<K>(w: &TimerWheel<K>) -> usize {
+        w.buckets.iter().chain(&w.spare).map(Vec::capacity).sum()
+    }
 
     fn drain(w: &mut TimerWheel<u32>, now: u64) -> Vec<u32> {
         let mut out = Vec::new();
@@ -233,5 +268,58 @@ mod tests {
         w.poll_expired(Tick(500), &mut out);
         assert!(out.is_empty());
         assert_eq!(out.capacity(), 0, "idle poll must not allocate");
+    }
+
+    #[test]
+    fn footprint_follows_live_entries_not_elapsed_time() {
+        // The relay's shape: every 50 ms poll, a batch of deadlines one
+        // second ahead. ~20 buckets hold entries at any moment; before
+        // recycling all 256 kept their busiest capacity after the first
+        // rotation (16× the live entries here).
+        let per_tick = 100u32;
+        let mut w: TimerWheel<u32> = TimerWheel::new(50, 256);
+        let mut out = Vec::new();
+        let mut settled = None;
+        for tick in 0..3 * 256 + 40u64 {
+            let now = tick * 50;
+            out.clear();
+            w.poll_expired(Tick(now), &mut out);
+            for k in 0..per_tick {
+                w.schedule(Tick(now + 1_000), k);
+            }
+            if tick < 40 {
+                continue; // first deadlines not yet due: still filling
+            }
+            assert_eq!(out.len(), per_tick as usize, "tick {tick}");
+            assert!(
+                capacity(&w) <= 3 * w.len(),
+                "tick {tick}: {} entries of storage for {} live",
+                capacity(&w),
+                w.len()
+            );
+            // Steady state allocates nothing: the bucket just emptied is
+            // the storage the bucket now starting to fill picks up, so
+            // the total never moves again.
+            assert_eq!(
+                *settled.get_or_insert(capacity(&w)),
+                capacity(&w),
+                "tick {tick}"
+            );
+        }
+    }
+
+    #[test]
+    fn spare_list_is_bounded() {
+        // A burst spread over many buckets, then one sweep past all of
+        // them: only a few emptied buckets are kept, the rest are freed.
+        let mut w: TimerWheel<u32> = TimerWheel::new(50, 64);
+        for b in 0..40u64 {
+            for k in 0..10 {
+                w.schedule(Tick(b * 50), k);
+            }
+        }
+        assert_eq!(drain(&mut w, 40 * 50).len(), 400);
+        assert_eq!(w.spare.len(), SPARE_BUCKETS);
+        assert!(w.buckets.iter().all(|b| b.capacity() == 0));
     }
 }

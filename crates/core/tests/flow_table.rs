@@ -191,6 +191,33 @@ fn wheel_flushes_partial_data_gather_on_deadline() {
 }
 
 #[test]
+fn data_too_short_for_a_slice_is_counted_and_its_sender_heard() {
+    let mut relay = ShardedRelay::new(OverlayAddr(42), 7, 1);
+    let (_source, template) = establish_flow(&mut relay, Tick(0), 99);
+    // d = 2 needs 2 + 4 bytes per slot; 5 passes the wire check only.
+    let short = Packet::new(
+        PacketHeader {
+            slot_len: 5,
+            ..template[0].packet.header
+        },
+        vec![vec![0u8; 5]],
+    );
+    let drops_before = relay.stats().drops;
+    let out = relay.handle_packet(Tick(10), template[0].from, &short);
+    assert!(out.sends.is_empty());
+    assert_eq!(
+        relay.stats().drops,
+        drops_before + 1,
+        "malformed geometry must be visible"
+    );
+    // Like a packet of pure padding it still counts toward the gather:
+    // the other parent completes it without waiting for the flush timeout.
+    let out = relay.handle_packet(Tick(10), template[1].from, &template[1].packet);
+    assert!(!out.sends.is_empty(), "short-slot sender must count as heard");
+    assert_eq!(relay.stats().drops, drops_before + 1);
+}
+
+#[test]
 fn flushed_gathers_are_dropped_after_quarantine() {
     // Per-seq gather state must not accumulate for the lifetime of a
     // long-lived flow: after the flush deadline (plus one quarantine

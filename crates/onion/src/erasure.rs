@@ -16,6 +16,7 @@ use rand::Rng;
 
 use slicing_codec::{coder, InfoSlice};
 use slicing_graph::OverlayAddr;
+use slicing_wire::crc;
 
 use crate::circuit::{CircuitHandle, OnionSend, OnionSource};
 use crate::{Directory, OnionError};
@@ -23,22 +24,16 @@ use crate::{Directory, OnionError};
 /// CRC-framed slice payload helpers shared with the exit side.
 fn frame_slice(slice: &InfoSlice) -> Vec<u8> {
     let mut bytes = slice.to_bytes();
-    slicing_wire_crc::append_crc(&mut bytes);
+    crc::append_crc(&mut bytes);
     bytes
 }
 
 fn unframe_slice(d: usize, bytes: &[u8]) -> Option<InfoSlice> {
-    let payload = slicing_wire_crc::check_crc(bytes)?;
+    let payload = crc::check_crc(bytes)?;
     if payload.len() < d {
         return None;
     }
     InfoSlice::from_bytes(d, payload.len() - d, payload)
-}
-
-// Tiny local re-export so this module reads cleanly without a hard wire
-// dependency in the public API.
-mod slicing_wire_crc {
-    pub use slicing_wire::crc::{append_crc, check_crc};
 }
 
 /// A source multiplexing one logical message stream over `d′` disjoint

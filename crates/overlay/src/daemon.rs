@@ -1106,6 +1106,53 @@ mod tests {
         }
     }
 
+    /// A data packet that parses on the wire (`d ≤ slot_len`) but whose
+    /// slots are too short for `coeffs ‖ crc` contributes no slice; it
+    /// used to vanish without a trace. It must show up in `drops`.
+    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
+    async fn node_counts_data_too_short_for_a_slice() {
+        let net = EmulatedNet::new(NetProfile::lan(), 6);
+        let pseudo_ports = [net.attach(OverlayAddr(501)), net.attach(OverlayAddr(502))];
+        let pseudo: Vec<OverlayAddr> = pseudo_ports.iter().map(|p| p.addr).collect();
+        let candidates: Vec<OverlayAddr> = (0..16).map(|i| OverlayAddr(20_000 + i)).collect();
+        let (source, setup) = SourceSession::establish(
+            GraphParams::new(3, 2).with_paths(2),
+            &pseudo,
+            &candidates,
+            OverlayAddr(1),
+            23,
+        )
+        .expect("valid params");
+        let target = source.graph().stages[1][0];
+        let relay = ShardedRelay::new(target, 7, 1);
+        let stats = relay.shared_stats();
+        let (_node, _events) = relay_node(relay, net.attach(target));
+        for instr in setup.iter().filter(|i| i.to == target) {
+            let port = pseudo_ports.iter().find(|p| p.addr == instr.from).expect("pseudo");
+            port.tx.send(target, instr.packet.encode()).await;
+        }
+        let seen = wait_stats(&stats, |s| s.flows_established == 1).await;
+        assert_eq!((seen.flows_established, seen.drops), (1, 0), "stats: {seen:?}");
+
+        // From a legitimate parent, on the live flow: d = 2 needs at
+        // least 2 + 4 bytes per slot; 5 passes the wire check only.
+        let short = Packet::new(
+            PacketHeader {
+                kind: PacketKind::Data,
+                flow_id: source.graph().flow_ids[1][0],
+                seq: 0,
+                d: 2,
+                slot_count: 1,
+                slot_len: 5,
+            },
+            vec![vec![0u8; 5]],
+        );
+        pseudo_ports[0].tx.send(target, short.encode()).await;
+        let seen = wait_stats(&stats, |s| s.drops >= 1).await;
+        assert_eq!(seen.drops, 1, "short-slot data must be counted: {seen:?}");
+        assert_eq!(seen.garbage, 0, "it is a valid packet, not garbage");
+    }
+
     #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
     async fn dropping_the_handle_stops_ingress_and_workers() {
         let net = EmulatedNet::new(NetProfile::lan(), 3);
