@@ -21,10 +21,12 @@
 //!   shared). One shard is the bare engine: the router short-circuits.
 //! * [`session`] — the endpoint layer over all of the above:
 //!   arbitrary-length streamed messages ([`SourceSession::send`]), the
-//!   destination-side [`DestSession`] (gather → recombine → in-order
-//!   reassembly, reverse-path acks/replies), and the [`SessionManager`]
-//!   multiplexing thousands of sessions over one node, sharded by
-//!   session id exactly like [`ShardedRelay`] shards flows.
+//!   destination-side [`DestSession`] (in-order reassembly of what the
+//!   relay decoded, reverse-path acks/replies) with the [`DestHost`]
+//!   that runs one per receiver flow of a relay, and the
+//!   [`SessionManager`] multiplexing thousands of source sessions over
+//!   one node, sharded by session id exactly like [`ShardedRelay`]
+//!   shards flows.
 //! * [`testnet`] — a deterministic in-memory network for driving whole
 //!   graphs in tests and simulations, with failure injection.
 //! * [`wheel`] — the hashed timer wheel behind the relay's flow table
@@ -46,8 +48,9 @@ pub use relay::{
     ReceivedData, RelayConfig, RelayOutput, RelayShard, RelayStats, RelayStatsAtomic,
 };
 pub use session::{
-    DestOutput, DestResident, DestSession, SessionConfig, SessionError, SessionId, SessionManager,
-    SessionOutput, SessionRouter, SessionShard, SessionStats, SessionStatsAtomic,
+    DestHost, DestHostOutput, DestOutput, DestResident, DestSession, SessionConfig, SessionError,
+    SessionId, SessionManager, SessionOutput, SessionRouter, SessionShard, SessionStats,
+    SessionStatsAtomic,
 };
 pub use shard::{FlowRouter, ShardedRelay};
 pub use source::{SourceConfig, SourceSession};

@@ -506,9 +506,6 @@ pub struct RelayShard {
     /// Reusable buffer for the outgoing-slot indexes that need a fresh
     /// combination during a flush (the flush path never allocates it).
     scratch_regen: Vec<usize>,
-    /// Reusable seal output buffer for reverse-path sends (the sealed
-    /// message is built here, then coded into the outgoing slots).
-    scratch_seal: Vec<u8>,
 }
 
 impl RelayShard {
@@ -540,7 +537,6 @@ impl RelayShard {
             wheel: TimerWheel::new(WHEEL_GRANULARITY_MS, WHEEL_BUCKETS),
             expired: Vec::new(),
             scratch_regen: Vec::new(),
-            scratch_seal: Vec::new(),
         }
     }
 
@@ -592,6 +588,20 @@ impl RelayShard {
         match self.flows.get(&flow) {
             Some(FlowState::Active(a)) => Some(&a.info),
             _ => None,
+        }
+    }
+
+    /// The consumer of [`RelayOutput::received`] refused `seq` on
+    /// receiver flow `flow` (a destination session over its reassembly
+    /// quota): forget the delivery, so the source's retransmission is
+    /// decoded and delivered again instead of being suppressed as a
+    /// replay — the refused chunk would otherwise be lost for good.
+    pub fn forget_delivery(&mut self, flow: FlowId, seq: u32) {
+        if let Some(FlowState::Active(active)) = self.flows.get_mut(&flow) {
+            active.delivered.remove(seq);
+            if let Some(gather) = active.data.get_mut(&seq) {
+                gather.delivered = false;
+            }
         }
     }
 
@@ -1599,68 +1609,6 @@ impl RelayShard {
         }
         stats.packets_out += out.sends.len() as u64;
         out
-    }
-
-    /// Send application data back toward the source on the reverse path
-    /// (§4.3.7). Only meaningful on a flow where this node is the
-    /// receiver.
-    ///
-    /// Returns `None` if the flow is unknown, not established, or this
-    /// node is not its destination.
-    pub fn send_reverse(
-        &mut self,
-        now: Tick,
-        flow: FlowId,
-        seq: u32,
-        plaintext: &[u8],
-    ) -> Option<Vec<SendInstr>> {
-        let RelayShard {
-            flows,
-            stats,
-            rng,
-            addr,
-            scratch_seal,
-            ..
-        } = self;
-        let Some(FlowState::Active(active)) = flows.get_mut(&flow) else {
-            return None;
-        };
-        if !active.info.receiver {
-            return None;
-        }
-        active.last_activity = now;
-        let info = &active.info;
-        let d = info.d as usize;
-        let dp = info.d_prime as usize;
-        // Cached subkeys + midstates, sealed into the shard's scratch
-        // buffer — the steady-state reverse send allocates nothing for
-        // the sealed message.
-        active.sealer.seal_into(plaintext, scratch_seal, rng);
-        let coded = coder::encode(scratch_seal, d, dp, rng);
-        let slot_len = d + coded.block_len + 4;
-        let mut sends = Vec::with_capacity(info.parents.len());
-        for (k, &(parent_addr, parent_rev_flow)) in info.parents.iter().enumerate() {
-            let mut builder = PacketBuilder::new(PacketHeader {
-                kind: PacketKind::Data,
-                flow_id: parent_rev_flow,
-                seq,
-                d: info.d,
-                slot_count: 1,
-                slot_len: slot_len as u16,
-            });
-            let slot = builder.slot();
-            let slice = &coded.slices[k % coded.slices.len()];
-            slot[..d].copy_from_slice(&slice.coeffs);
-            slot[d..d + coded.block_len].copy_from_slice(&slice.payload);
-            crc::write_crc(slot);
-            sends.push(SendInstr {
-                from: *addr,
-                to: parent_addr,
-                packet: builder.build(),
-            });
-        }
-        stats.packets_out += sends.len() as u64;
-        Some(sends)
     }
 }
 

@@ -41,6 +41,14 @@ impl ReplayGuard {
         self.bits[(off / 64) as usize] |= 1 << (off % 64);
     }
 
+    /// Forget that `seq` was delivered, so its retransmission passes
+    /// again. Seqs the window has slid past stay delivered.
+    pub(crate) fn remove(&mut self, seq: u32) {
+        if let Some(off) = seq.checked_sub(self.base).filter(|&off| off < Self::WINDOW) {
+            self.bits[(off / 64) as usize] &= !(1 << (off % 64));
+        }
+    }
+
     fn slide(&mut self, shift: u32) {
         self.base = self.base.saturating_add(shift);
         if shift >= Self::WINDOW {
@@ -76,10 +84,16 @@ mod tests {
         g.insert(10);
         g.insert(5);
         assert!(g.contains(5) && g.contains(10) && !g.contains(6));
+        // A refused delivery is forgotten; its neighbours are not.
+        g.remove(5);
+        assert!(!g.contains(5) && g.contains(0) && g.contains(10));
+        g.insert(5);
         // Slide far forward: old seqs fall below the watermark and count
         // as delivered; in-window tracking keeps working.
         g.insert(5_000);
         assert!(g.contains(0) && g.contains(6), "below watermark = delivered");
+        g.remove(6);
+        assert!(g.contains(6), "the window slid past it: stays delivered");
         assert!(g.contains(5_000));
         assert!(!g.contains(4_999) || 4_999 < 5_000 - ReplayGuard::WINDOW + 1);
         assert!(!g.contains(5_001));

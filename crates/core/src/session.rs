@@ -11,12 +11,19 @@
 //!   pacing/retransmit window. Chunk framing lives *inside* the AEAD
 //!   plaintext, so relays cannot distinguish a 100-byte chat line from a
 //!   megabyte transfer beyond packet count.
-//! * [`DestSession`] — the destination-side endpoint the engine was
-//!   missing: per-seq slice gathering → recombination → decryption →
-//!   in-order message reassembly, guarded by the same constant-space
-//!   anti-replay discipline the relays use, plus reverse-path
-//!   acknowledgements and application replies.
-//! * [`SessionManager`] — both endpoint kinds multiplexed at scale:
+//! * [`DestSession`] — the destination endpoint of one flow. In the paper
+//!   a destination is a relay that happens to decode (§4.3.5), so slice
+//!   gathering, recombination and decryption stay in the relay
+//!   ([`crate::RelayOutput::received`]); the session consumes the
+//!   decrypted chunks: frame parsing → constant-space replay guard →
+//!   in-order message reassembly, plus reverse-path acknowledgements and
+//!   application replies.
+//! * [`DestHost`] — the destination role of one relay: every receiver
+//!   flow the relay establishes gets a [`DestSession`], fed from the
+//!   relay's own output. The overlay daemon runs one per relay shard
+//!   worker; the test harnesses run the same host next to a
+//!   [`crate::ShardedRelay`].
+//! * [`SessionManager`] — source endpoints multiplexed at scale:
 //!   sessions are sharded by session id exactly like
 //!   [`crate::ShardedRelay`] shards flows (per-shard maps and
 //!   [`TimerWheel`], shared atomic [`SessionStatsAtomic`]), with
@@ -25,10 +32,10 @@
 //!
 //! Per-session state is bounded by construction: the send window holds
 //! at most [`SessionConfig::window_chunks`] unacked chunks plus a
-//! byte-capped queue, the receive side caps partial gathers and
-//! reassembly bytes, and completed messages leave nothing behind — the
-//! replay guard (watermark + bitmap) remembers delivery in constant
-//! space after the per-message state is gone.
+//! byte-capped queue, the receive side caps reassembly bytes, and
+//! completed messages leave nothing behind — the replay guard
+//! (watermark + bitmap) remembers delivery in constant space after the
+//! per-message state is gone.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,12 +44,13 @@ use std::sync::{Arc, RwLock};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use slicing_codec::{coder, InfoSlice};
+use slicing_codec::coder;
 use slicing_crypto::SealingKey;
 use slicing_graph::packets::SendInstr;
 use slicing_graph::{NodeInfo, OverlayAddr};
 use slicing_wire::{crc, FlowId, Packet, PacketBuilder, PacketHeader, PacketKind};
 
+use crate::relay::{RelayOutput, RelayStatsAtomic};
 use crate::replay::ReplayGuard;
 use crate::source::SourceSession;
 use crate::time::Tick;
@@ -141,10 +149,6 @@ pub struct SessionConfig {
     /// completed-but-out-of-order messages). Chunks beyond it are
     /// dropped *unacked*, so the source retries them later.
     pub reassembly_bytes: usize,
-    /// Per-session cap on concurrent per-seq slice gathers.
-    pub max_gathers: usize,
-    /// Reap a partial slice gather after this long.
-    pub gather_ttl_ms: u64,
 }
 
 impl Default for SessionConfig {
@@ -158,8 +162,6 @@ impl Default for SessionConfig {
             ack_every_chunks: 4,
             ack_interval_ms: 150,
             reassembly_bytes: 1024 * 1024,
-            max_gathers: 256,
-            gather_ttl_ms: 3_000,
         }
     }
 }
@@ -576,7 +578,7 @@ impl SourceSession {
 
 // ---- destination-side session --------------------------------------------
 
-/// Everything one `handle_packet`/`handle_delivery`/`poll` call on a
+/// Everything one `handle_delivery`/`handle_replay`/`poll` call on a
 /// [`DestSession`] wants to tell the driver.
 #[derive(Clone, Debug, Default)]
 pub struct DestOutput {
@@ -609,22 +611,12 @@ impl DestOutput {
 /// assert the "no per-message state retained after delivery" invariant.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DestResident {
-    /// Partial per-seq slice gathers.
-    pub gathers: usize,
     /// Messages with some but not all chunks.
     pub partial_msgs: usize,
     /// Completed messages held for in-order release.
     pub ready_msgs: usize,
     /// Bytes across partial and held messages.
     pub reassembly_bytes: usize,
-}
-
-/// One partial per-seq slice gather.
-#[derive(Debug)]
-struct SeqGather {
-    first_seen: Tick,
-    heard: Vec<OverlayAddr>,
-    slices: Vec<InfoSlice>,
 }
 
 /// One partially reassembled stream message.
@@ -636,28 +628,20 @@ struct Reassembly {
 }
 
 /// The destination endpoint of one anonymous session (§4.3.5 applied at
-/// the session layer): gathers the `d` slices of each sequenced chunk,
-/// recombines and decrypts them, reassembles chunks into in-order
-/// messages, and speaks the reverse path — acknowledgements for the
-/// source's retransmit window and application replies.
+/// the session layer). The relay that established the receiver flow
+/// gathers, recombines and decrypts each sequenced chunk — and keeps
+/// forwarding downstream, so neighbours cannot tell it is the
+/// destination; the session takes the decrypted chunks
+/// ([`DestSession::handle_delivery`]) and the replays the relay
+/// suppressed ([`DestSession::handle_replay`]), reassembles chunks into
+/// in-order messages, and speaks the reverse path — acknowledgements for
+/// the source's retransmit window and application replies.
 ///
-/// Two driving modes share all state:
-///
-/// * **Endpoint** — [`DestSession::handle_packet`] consumes raw wire
-///   packets; the session does its own slice gathering (a node that is
-///   *only* a destination, e.g. under a [`SessionManager`]).
-/// * **Colocated** — [`DestSession::handle_delivery`] consumes messages
-///   a colocated relay already gathered and decrypted (the overlay's
-///   combined relay+destination node, where the relay must keep
-///   forwarding downstream so neighbours cannot tell it is the
-///   destination).
-///
-/// Construction needs the flow's decoded [`NodeInfo`] — from the relay
-/// that established it ([`crate::ShardedRelay::flow_info`]) or from the
-/// source's graph in tests.
+/// Construction needs the flow's decoded [`NodeInfo`], from the relay
+/// that established it ([`crate::ShardedRelay::flow_info`]); a
+/// [`DestHost`] does exactly that for every receiver flow of its relay.
 pub struct DestSession {
     addr: OverlayAddr,
-    flow: FlowId,
     info: NodeInfo,
     /// Cached sealing state for the flow's secret key (subkeys + HMAC
     /// midstates derived once; rebuilt by [`DestSession::set_info`]).
@@ -666,11 +650,10 @@ pub struct DestSession {
     seal_buf: Vec<u8>,
     config: SessionConfig,
     rng: StdRng,
-    /// Chunk seqs delivered (constant space; survives gather reaping).
+    /// Chunk seqs delivered (constant space).
     delivered: ReplayGuard,
     /// Every chunk seq `< cum` is delivered (ack watermark).
     cum: u32,
-    gathers: HashMap<u32, SeqGather>,
     reasm: HashMap<u32, Reassembly>,
     reasm_bytes: usize,
     /// Next stream message id to release (in-order delivery).
@@ -683,18 +666,19 @@ pub struct DestSession {
     /// Whether any state changed that the source should hear about.
     pending_ack: bool,
     last_ack: Option<Tick>,
-    /// Last packet/delivery activity (idle GC in drivers).
+    /// Last delivery activity (idle GC in drivers).
     last_activity: Tick,
 }
 
 impl DestSession {
     /// Create the destination endpoint for `flow` at `addr`, from the
-    /// flow's decoded info.
+    /// flow's decoded info. `seed` may be shared by every session of a
+    /// node: the flow id is mixed in here (and only here), so sessions
+    /// draw distinct nonce and coding-coefficient streams.
     pub fn new(addr: OverlayAddr, flow: FlowId, info: NodeInfo, config: SessionConfig, seed: u64) -> Self {
         let sealer = SealingKey::new(&info.secret_key);
         DestSession {
             addr,
-            flow,
             info,
             sealer,
             seal_buf: Vec::new(),
@@ -702,7 +686,6 @@ impl DestSession {
             rng: StdRng::seed_from_u64(seed ^ flow.0),
             delivered: ReplayGuard::default(),
             cum: 0,
-            gathers: HashMap::new(),
             reasm: HashMap::new(),
             reasm_bytes: 0,
             next_deliver: 0,
@@ -715,11 +698,6 @@ impl DestSession {
         }
     }
 
-    /// The forward flow this session terminates.
-    pub fn flow(&self) -> FlowId {
-        self.flow
-    }
-
     /// Splice repaired routing into the live session: a source-issued
     /// repair re-setup gave the flow new neighbour lists (the owning
     /// relay authenticated them against the flow's secret key), and the
@@ -727,7 +705,7 @@ impl DestSession {
     /// a replaced parent blackhole, and with `d′ = d` a single stale
     /// parent leaves the source unable to decode any ack ever again.
     ///
-    /// Delivery state (replay guard, watermark, gathers, reassembly) is
+    /// Delivery state (replay guard, watermark, reassembly) is
     /// untouched; an ack is marked pending so the next poll re-announces
     /// the delivery state over the repaired routes immediately.
     pub fn set_info(&mut self, info: NodeInfo) {
@@ -736,7 +714,7 @@ impl DestSession {
         self.pending_ack = true;
     }
 
-    /// Last packet or delivery activity (drivers use this for idle GC).
+    /// Last delivery activity (drivers use this for idle GC).
     pub fn last_activity(&self) -> Tick {
         self.last_activity
     }
@@ -744,93 +722,14 @@ impl DestSession {
     /// Current resident receive state (bounded by configuration).
     pub fn resident(&self) -> DestResident {
         DestResident {
-            gathers: self.gathers.len(),
             partial_msgs: self.reasm.len(),
             ready_msgs: self.ready.len(),
             reassembly_bytes: self.reasm_bytes,
         }
     }
 
-    /// Endpoint mode: feed one wire packet received at the destination's
-    /// own address. Gathers CRC-valid slices per seq, recombines and
-    /// decrypts at `d`, then runs the shared chunk path.
-    pub fn handle_packet(&mut self, now: Tick, from: OverlayAddr, packet: &Packet) -> DestOutput {
-        let mut out = DestOutput::default();
-        if packet.header.kind != PacketKind::Data || packet.header.flow_id != self.flow {
-            out.dropped += 1;
-            return out;
-        }
-        // Only the flow's own parents contribute slices (the relay's
-        // admission discipline, applied at the endpoint).
-        if !self.info.parents.iter().any(|&(a, _)| a == from) {
-            out.dropped += 1;
-            return out;
-        }
-        self.last_activity = now;
-        let seq = packet.header.seq;
-        if self.delivered.contains(seq) {
-            // Replayed chunk (lost ack): re-announce delivery state.
-            self.pending_ack = true;
-            out.merge(self.maybe_ack(now, false));
-            return out;
-        }
-        let d = self.info.d as usize;
-        let slot_len = packet.header.slot_len as usize;
-        if slot_len < d + 4 {
-            out.dropped += 1;
-            return out;
-        }
-        if self.gathers.len() >= self.config.max_gathers && !self.gathers.contains_key(&seq) {
-            out.dropped += 1;
-            return out;
-        }
-        let gather = self.gathers.entry(seq).or_insert_with(|| SeqGather {
-            first_seen: now,
-            heard: Vec::new(),
-            slices: Vec::new(),
-        });
-        if gather.heard.contains(&from) {
-            out.dropped += 1;
-            return out;
-        }
-        gather.heard.push(from);
-        for i in 0..packet.header.slot_count as usize {
-            let Some(payload) = crc::check_crc(packet.slot(i)) else {
-                continue;
-            };
-            if let Some(slice) = InfoSlice::from_bytes(d, slot_len - d - 4, payload) {
-                let consistent = gather
-                    .slices
-                    .first()
-                    .is_none_or(|s| s.payload.len() == slice.payload.len());
-                if consistent {
-                    gather.slices.push(slice);
-                }
-            }
-        }
-        if gather.slices.len() < d {
-            return out;
-        }
-        let Ok(sealed) = coder::decode(&gather.slices, d) else {
-            // Dependent combination; keep gathering until more slices
-            // or the reaper arrive.
-            return out;
-        };
-        let Ok(plaintext) = self.sealer.open_owned(sealed) else {
-            // Forged or corrupted beyond the CRC: drop the gather.
-            self.gathers.remove(&seq);
-            out.dropped += 1;
-            return out;
-        };
-        // Decoded: the per-seq gather state dies right here — only the
-        // constant-space replay guard remembers this seq from now on.
-        self.gathers.remove(&seq);
-        out.merge(self.note_chunk(now, seq, plaintext));
-        out
-    }
-
-    /// Colocated mode: feed one message a colocated relay already
-    /// gathered, recombined and decrypted for this receiver flow.
+    /// Feed one message the relay gathered, recombined and decrypted for
+    /// this receiver flow.
     pub fn handle_delivery(&mut self, now: Tick, seq: u32, plaintext: Vec<u8>) -> DestOutput {
         self.last_activity = now;
         if self.delivered.contains(seq) {
@@ -840,7 +739,7 @@ impl DestSession {
         self.note_chunk(now, seq, plaintext)
     }
 
-    /// Colocated mode: the relay saw a replay of an already-delivered
+    /// The relay saw a replay of an already-delivered
     /// seq (its replay guard suppressed the duplicate delivery). The
     /// sender is retransmitting because an ack was lost — re-announce
     /// the delivery state so its window can drain.
@@ -1001,37 +900,22 @@ impl DestSession {
         Ok((id, self.send_reverse_frame(&frame)))
     }
 
-    /// Periodic work: reap stale gathers, fire the ack timer.
+    /// Periodic work: fire the ack timer.
     pub fn poll(&mut self, now: Tick) -> DestOutput {
-        if !self.gathers.is_empty() {
-            let ttl = self.config.gather_ttl_ms;
-            self.gathers.retain(|_, g| now.since(g.first_seen) < ttl);
-        }
         self.maybe_ack(now, false)
     }
 
-    /// When this session next needs a [`poll`](DestSession::poll) —
-    /// pending-ack timers and gather reaping. `None` when idle.
+    /// When this session next needs a [`poll`](DestSession::poll): the
+    /// pending-ack timer. `None` when idle.
     pub fn next_due(&self) -> Option<Tick> {
-        let mut due: Option<Tick> = None;
-        let mut consider = |t: Tick| {
-            due = Some(due.map_or(t, |d: Tick| if t.0 < d.0 { t } else { d }));
-        };
-        if self.pending_ack {
-            consider(
-                self.last_ack
-                    .map_or(Tick::ZERO, |l| l.plus(self.config.ack_interval_ms)),
-            );
-        }
-        if let Some(first) = self.gathers.values().map(|g| g.first_seen).min() {
-            consider(first.plus(self.config.gather_ttl_ms));
-        }
-        due
+        self.pending_ack.then(|| {
+            self.last_ack
+                .map_or(Tick::ZERO, |l| l.plus(self.config.ack_interval_ms))
+        })
     }
 
     /// Seal a reverse frame and address one coded slice to each parent
-    /// on its reverse flow id (the destination's counterpart of
-    /// [`crate::relay::RelayShard::send_reverse`]).
+    /// on its reverse flow id (§4.3.7) — the one dest→parents builder.
     fn send_reverse_frame(&mut self, frame: &[u8]) -> Vec<SendInstr> {
         let seq = self.next_reverse_seq;
         self.next_reverse_seq += 1;
@@ -1068,6 +952,138 @@ impl DestSession {
     }
 }
 
+// ---- the destination role of a relay --------------------------------------
+
+/// What one [`DestHost::drive`] call reports to its relay's driver.
+#[derive(Clone, Debug, Default)]
+#[must_use = "refused deliveries must be handed back to the relay"]
+pub struct DestHostOutput {
+    /// Stream messages completed this call: `(flow, msg_id, bytes)`, in
+    /// per-flow order.
+    pub messages: Vec<(FlowId, u32, Vec<u8>)>,
+    /// Deliveries a session refused *unacked* (reassembly quota): hand
+    /// each to the relay's `forget_delivery`, so the source's retry is
+    /// decoded again instead of being suppressed as a replay.
+    pub refused: Vec<(FlowId, u32)>,
+}
+
+/// The destination role of one relay: a [`DestSession`] per receiver flow
+/// the relay established, driven entirely by the relay's own output —
+/// flow affinity means the role adds no locks to the packet path. The
+/// overlay daemon runs one beside each [`crate::RelayShard`] worker, the
+/// test harnesses one beside a [`crate::ShardedRelay`]; both hand
+/// [`DestHost::drive`] their relay's `flow_info` lookup.
+pub struct DestHost {
+    addr: OverlayAddr,
+    config: SessionConfig,
+    seed: u64,
+    /// The owning relay's shared counters: a chunk the destination role
+    /// drops is a drop of that relay.
+    stats: Arc<RelayStatsAtomic>,
+    sessions: HashMap<FlowId, DestSession>,
+}
+
+impl DestHost {
+    /// The destination role of the relay at `addr`, counting its drops
+    /// into that relay's `stats`. Every session gets `config` and a
+    /// stream of `seed` (see [`DestSession::new`]).
+    pub fn new(
+        addr: OverlayAddr,
+        config: SessionConfig,
+        seed: u64,
+        stats: Arc<RelayStatsAtomic>,
+    ) -> Self {
+        DestHost {
+            addr,
+            config,
+            seed,
+            stats,
+            sessions: HashMap::new(),
+        }
+    }
+
+    /// Receiver flows currently hosting a session.
+    pub fn session_count(&self) -> usize {
+        self.sessions.len()
+    }
+
+    /// The session terminating `flow` (application replies, resident
+    /// state).
+    pub fn session_mut(&mut self, flow: FlowId) -> Option<&mut DestSession> {
+        self.sessions.get_mut(&flow)
+    }
+
+    /// Consume one (possibly merged) relay output: open sessions on
+    /// freshly established receiver flows, follow repair re-setups, feed
+    /// decoded deliveries and suppressed replays through their sessions,
+    /// and — when `poll` is set, at the relay's poll cadence — run due ack
+    /// timers and drop sessions whose flow the relay evicted (its flow GC
+    /// is authoritative). Acks are appended to `out.sends`; chunks the
+    /// sessions dropped are counted into the relay's `drops`.
+    pub fn drive<'a>(
+        &mut self,
+        now: Tick,
+        out: &mut RelayOutput,
+        flow_info: impl Fn(FlowId) -> Option<&'a NodeInfo>,
+        poll: bool,
+    ) -> DestHostOutput {
+        let mut report = DestHostOutput::default();
+        let stats = &self.stats;
+        let messages = &mut report.messages;
+        let mut absorb = |flow: FlowId, dout: DestOutput, sends: &mut Vec<SendInstr>| {
+            sends.extend(dout.sends);
+            (0..dout.dropped).for_each(|_| stats.record_drop());
+            messages.extend(dout.messages.into_iter().map(|(id, bytes)| (flow, id, bytes)));
+        };
+        for &(flow, receiver) in &out.established {
+            if receiver && !self.sessions.contains_key(&flow) {
+                if let Some(info) = flow_info(flow) {
+                    self.sessions.insert(
+                        flow,
+                        DestSession::new(self.addr, flow, info.clone(), self.config, self.seed),
+                    );
+                }
+            }
+        }
+        // Repair re-setups splice new neighbour lists into the relay's
+        // flow; the session's reverse routing must follow or its acks
+        // keep fanning to the replaced parent.
+        for &(flow, receiver) in &out.rekeyed {
+            if receiver {
+                if let (Some(dest), Some(info)) = (self.sessions.get_mut(&flow), flow_info(flow)) {
+                    dest.set_info(info.clone());
+                }
+            }
+        }
+        for r in &out.received {
+            if let Some(dest) = self.sessions.get_mut(&r.flow) {
+                let dout = dest.handle_delivery(now, r.seq, r.plaintext.clone());
+                absorb(r.flow, dout, &mut out.sends);
+                if !dest.delivered.contains(r.seq) {
+                    report.refused.push((r.flow, r.seq));
+                }
+            }
+        }
+        // Replays the relay suppressed mean a lost ack: re-announce.
+        for &(flow, seq) in &out.replayed {
+            if let Some(dest) = self.sessions.get_mut(&flow) {
+                let dout = dest.handle_replay(now, seq);
+                absorb(flow, dout, &mut out.sends);
+            }
+        }
+        if poll && !self.sessions.is_empty() {
+            for (&flow, dest) in self.sessions.iter_mut() {
+                if dest.next_due().is_some_and(|d| d.0 <= now.0) {
+                    let dout = dest.poll(now);
+                    absorb(flow, dout, &mut out.sends);
+                }
+            }
+            self.sessions.retain(|&flow, _| flow_info(flow).is_some());
+        }
+        report
+    }
+}
+
 // ---- the sharded session manager -----------------------------------------
 
 /// Identifier of one session hosted by a [`SessionManager`].
@@ -1090,9 +1106,8 @@ impl std::fmt::Display for SessionId {
 ///
 /// Sessions are sharded by `hash(session id) % N` (exactly the
 /// [`crate::FlowRouter`] discipline); in addition the router maps every
-/// flow id a session listens on — a source session's stage-0 reverse
-/// flow ids, a destination session's forward flow id — to its owning
-/// `(shard, session)`. The map is written at open/close only, never at
+/// flow id a session listens on — its stage-0 reverse flow ids — to its
+/// owning `(shard, session)`. The map is written at open/close only, never at
 /// packet rate.
 #[derive(Clone, Debug)]
 pub struct SessionRouter {
@@ -1164,10 +1179,6 @@ pub struct SessionStats {
     pub retransmits: u64,
     /// Stream messages fully acknowledged end to end.
     pub msgs_acked: u64,
-    /// Chunks delivered at destination sessions.
-    pub chunks_delivered: u64,
-    /// Stream messages completed at destination sessions.
-    pub msgs_delivered: u64,
     /// Replies surfaced to source sessions.
     pub replies: u64,
     /// Packets/chunks dropped by the session layer.
@@ -1184,8 +1195,6 @@ impl SessionStats {
             chunks_sent: self.chunks_sent - earlier.chunks_sent,
             retransmits: self.retransmits - earlier.retransmits,
             msgs_acked: self.msgs_acked - earlier.msgs_acked,
-            chunks_delivered: self.chunks_delivered - earlier.chunks_delivered,
-            msgs_delivered: self.msgs_delivered - earlier.msgs_delivered,
             replies: self.replies - earlier.replies,
             drops: self.drops - earlier.drops,
         }
@@ -1197,7 +1206,7 @@ impl SessionStats {
     /// metrics exposition iterates it instead of hand-listing fields,
     /// so the exported text can never drift from the atomics (see
     /// [`crate::RelayStats::counters`]).
-    pub fn counters(&self) -> [(&'static str, u64); 11] {
+    pub fn counters(&self) -> [(&'static str, u64); 9] {
         [
             ("opened", self.opened),
             ("closed", self.closed),
@@ -1206,8 +1215,6 @@ impl SessionStats {
             ("chunks_sent", self.chunks_sent),
             ("retransmits", self.retransmits),
             ("msgs_acked", self.msgs_acked),
-            ("chunks_delivered", self.chunks_delivered),
-            ("msgs_delivered", self.msgs_delivered),
             ("replies", self.replies),
             ("drops", self.drops),
         ]
@@ -1221,8 +1228,6 @@ impl SessionStats {
         self.chunks_sent += other.chunks_sent;
         self.retransmits += other.retransmits;
         self.msgs_acked += other.msgs_acked;
-        self.chunks_delivered += other.chunks_delivered;
-        self.msgs_delivered += other.msgs_delivered;
         self.replies += other.replies;
         self.drops += other.drops;
     }
@@ -1240,8 +1245,6 @@ pub struct SessionStatsAtomic {
     chunks_sent: AtomicU64,
     retransmits: AtomicU64,
     msgs_acked: AtomicU64,
-    chunks_delivered: AtomicU64,
-    msgs_delivered: AtomicU64,
     replies: AtomicU64,
     drops: AtomicU64,
 }
@@ -1258,8 +1261,6 @@ impl SessionStatsAtomic {
             chunks_sent: self.chunks_sent.load(Ordering::Relaxed),
             retransmits: self.retransmits.load(Ordering::Relaxed),
             msgs_acked: self.msgs_acked.load(Ordering::Relaxed),
-            chunks_delivered: self.chunks_delivered.load(Ordering::Relaxed),
-            msgs_delivered: self.msgs_delivered.load(Ordering::Relaxed),
             replies: self.replies.load(Ordering::Relaxed),
             drops: self.drops.load(Ordering::Relaxed),
         }
@@ -1286,8 +1287,6 @@ impl SessionStatsAtomic {
         fold_field!(chunks_sent);
         fold_field!(retransmits);
         fold_field!(msgs_acked);
-        fold_field!(chunks_delivered);
-        fold_field!(msgs_delivered);
         fold_field!(replies);
         fold_field!(drops);
     }
@@ -1298,15 +1297,11 @@ impl SessionStatsAtomic {
 pub struct SessionOutput {
     /// Packets to transmit.
     pub sends: Vec<SendInstr>,
-    /// Messages completed at destination sessions:
-    /// `(session, msg_id, bytes)`, in per-session order.
-    pub delivered: Vec<(SessionId, u32, Vec<u8>)>,
-    /// Source-side completions: `(session, msg_id)` fully acknowledged.
+    /// Completions: `(session, msg_id)` fully acknowledged.
     pub acked: Vec<(SessionId, u32)>,
-    /// Replies surfaced at source sessions: `(session, reply_id, bytes)`.
+    /// Destination replies: `(session, reply_id, bytes)`.
     pub replies: Vec<(SessionId, u32, Vec<u8>)>,
-    /// Unframed (legacy) messages: `(session, seq, bytes)` — reverse
-    /// messages at sources, raw deliveries at destinations.
+    /// Unframed (legacy) reverse messages: `(session, seq, bytes)`.
     pub raw: Vec<(SessionId, u32, Vec<u8>)>,
 }
 
@@ -1314,7 +1309,6 @@ impl SessionOutput {
     /// Append another call's output.
     pub fn merge(&mut self, other: SessionOutput) {
         self.sends.extend(other.sends);
-        self.delivered.extend(other.delivered);
         self.acked.extend(other.acked);
         self.replies.extend(other.replies);
         self.raw.extend(other.raw);
@@ -1323,13 +1317,13 @@ impl SessionOutput {
 
 /// A map slot: the session plus its earliest scheduled wheel wake (so
 /// re-scheduling never floods the wheel with duplicates).
-struct Slot<T> {
-    inner: T,
+struct Slot {
+    inner: SourceSession,
     wake: Option<Tick>,
 }
 
-/// One shard of a [`SessionManager`]: its own source and destination
-/// session maps, its own [`TimerWheel`] of per-session wake deadlines,
+/// One shard of a [`SessionManager`]: its own source session map, its
+/// own [`TimerWheel`] of per-session wake deadlines,
 /// its own scratch — nothing on the per-packet path crosses shards. The
 /// only shared state is the [`SessionRouter`] (written at open/close)
 /// and the [`SessionStatsAtomic`] mirror (folded at batch boundaries via
@@ -1337,8 +1331,7 @@ struct Slot<T> {
 pub struct SessionShard {
     index: usize,
     max_sessions: usize,
-    sources: HashMap<u64, Slot<SourceSession>>,
-    dests: HashMap<u64, Slot<DestSession>>,
+    sources: HashMap<u64, Slot>,
     wheel: TimerWheel<u64>,
     expired: Vec<(Tick, u64)>,
     router: SessionRouter,
@@ -1362,7 +1355,6 @@ impl SessionShard {
             index,
             max_sessions: max_sessions.max(1),
             sources: HashMap::new(),
-            dests: HashMap::new(),
             wheel: TimerWheel::new(WHEEL_GRANULARITY_MS, WHEEL_BUCKETS),
             expired: Vec::new(),
             router,
@@ -1391,9 +1383,9 @@ impl SessionShard {
         self.index
     }
 
-    /// Sessions hosted by this shard (both kinds).
+    /// Sessions hosted by this shard.
     pub fn session_count(&self) -> usize {
-        self.sources.len() + self.dests.len()
+        self.sources.len()
     }
 
     /// Shard-local counters.
@@ -1452,33 +1444,6 @@ impl SessionShard {
         Ok(())
     }
 
-    /// Host a destination session under `id`; its forward flow id is
-    /// registered with the router.
-    pub fn open_dest(
-        &mut self,
-        now: Tick,
-        id: SessionId,
-        dest: DestSession,
-    ) -> Result<(), SessionError> {
-        if self.session_count() >= self.max_sessions {
-            self.stats.rejected += 1;
-            return Err(SessionError::TooManySessions {
-                limit: self.max_sessions,
-            });
-        }
-        self.router.register(dest.flow(), self.index, id);
-        self.dests.insert(
-            id.0,
-            Slot {
-                inner: dest,
-                wake: None,
-            },
-        );
-        self.stats.opened += 1;
-        self.reschedule(now, id.0);
-        Ok(())
-    }
-
     /// Tear a session down, releasing its router registrations. Returns
     /// whether the id was hosted here. Per-session state dies with the
     /// session; stale wheel entries validate lazily and vanish.
@@ -1487,11 +1452,6 @@ impl SessionShard {
             for &flow in &slot.inner.graph().reverse_flow_ids[0] {
                 self.router.unregister(flow, id);
             }
-            self.stats.closed += 1;
-            return true;
-        }
-        if let Some(slot) = self.dests.remove(&id.0) {
-            self.router.unregister(slot.inner.flow(), id);
             self.stats.closed += 1;
             return true;
         }
@@ -1521,9 +1481,8 @@ impl SessionShard {
     }
 
     /// Feed one received packet to the session owning its flow.
-    /// `local` is the attachment address the packet arrived on (a
-    /// pseudo-source for reverse traffic, the destination address for
-    /// endpoint-mode forward traffic).
+    /// `local` is the attachment address the packet arrived on (one of
+    /// the session's pseudo-sources).
     // lint: hot-path
     pub fn handle_packet(
         &mut self,
@@ -1565,10 +1524,6 @@ impl SessionShard {
             out.sends.extend(slot.inner.pump(now));
             self.drain_source(id, &mut out);
             self.reschedule(now, id.0);
-        } else if let Some(slot) = self.dests.get_mut(&id.0) {
-            let dout = slot.inner.handle_packet(now, from, packet);
-            self.absorb_dest(id, dout, &mut out);
-            self.reschedule(now, id.0);
         } else {
             self.stats.drops += 1;
         }
@@ -1600,14 +1555,6 @@ impl SessionShard {
                 self.drain_source(id, out);
             }
             self.reschedule(now, key);
-        } else if let Some(slot) = self.dests.get_mut(&key) {
-            slot.wake = None;
-            let due = slot.inner.next_due();
-            if due.is_some_and(|d| d.0 <= now.0) {
-                let dout = slot.inner.poll(now);
-                self.absorb_dest(id, dout, out);
-            }
-            self.reschedule(now, key);
         }
         // Closed sessions: stale entry, nothing to do.
     }
@@ -1630,34 +1577,16 @@ impl SessionShard {
         self.stats.retransmits += retx;
     }
 
-    /// Fold a destination session's output into the shard output.
-    fn absorb_dest(&mut self, id: SessionId, dout: DestOutput, out: &mut SessionOutput) {
-        self.stats.chunks_delivered += dout.chunks as u64;
-        self.stats.drops += dout.dropped as u64;
-        self.stats.msgs_delivered += dout.messages.len() as u64;
-        out.sends.extend(dout.sends);
-        for (msg_id, bytes) in dout.messages {
-            out.delivered.push((id, msg_id, bytes));
-        }
-        for (seq, bytes) in dout.raw {
-            out.raw.push((id, seq, bytes));
-        }
-    }
-
     /// Re-arm the wheel at the session's earliest deadline, skipping
     /// when an earlier entry is already pending.
     fn reschedule(&mut self, _now: Tick, key: u64) {
-        let (wake, due) = if let Some(slot) = self.sources.get_mut(&key) {
-            (&mut slot.wake, slot.inner.next_due())
-        } else if let Some(slot) = self.dests.get_mut(&key) {
-            (&mut slot.wake, slot.inner.next_due())
-        } else {
+        let Some(slot) = self.sources.get_mut(&key) else {
             return;
         };
-        let Some(due) = due else { return };
-        if wake.is_none_or(|w| due.0 < w.0) {
+        let Some(due) = slot.inner.next_due() else { return };
+        if slot.wake.is_none_or(|w| due.0 < w.0) {
             self.wheel.schedule(due, key);
-            *wake = Some(due);
+            slot.wake = Some(due);
         }
     }
 
@@ -1665,14 +1594,9 @@ impl SessionShard {
     pub fn source_mut(&mut self, id: SessionId) -> Option<&mut SourceSession> {
         self.sources.get_mut(&id.0).map(|s| &mut s.inner)
     }
-
-    /// Mutable access to a hosted destination session.
-    pub fn dest_mut(&mut self, id: SessionId) -> Option<&mut DestSession> {
-        self.dests.get_mut(&id.0).map(|s| &mut s.inner)
-    }
 }
 
-/// Thousands of concurrent sessions multiplexed over one node.
+/// Thousands of concurrent source sessions multiplexed over one node.
 ///
 /// The synchronous front mirrors [`crate::ShardedRelay`]: `&mut self`
 /// calls route by session id (or, for packets, by registered flow id) to
@@ -1783,23 +1707,6 @@ impl SessionManager {
         Ok(id)
     }
 
-    /// Host a destination endpoint for `flow` at `addr`, built from the
-    /// flow's decoded info.
-    pub fn open_dest(
-        &mut self,
-        now: Tick,
-        addr: OverlayAddr,
-        flow: FlowId,
-        info: NodeInfo,
-        seed: u64,
-    ) -> Result<SessionId, SessionError> {
-        let id = self.alloc_id();
-        let dest = DestSession::new(addr, flow, info, self.default_config, seed);
-        let shard = self.router.route_id(id);
-        self.shards[shard].open_dest(now, id, dest)?;
-        Ok(id)
-    }
-
     /// Tear a session down.
     pub fn close(&mut self, id: SessionId) -> bool {
         let shard = self.router.route_id(id);
@@ -1850,12 +1757,6 @@ impl SessionManager {
         self.shards[shard].source_mut(id)
     }
 
-    /// Mutable access to a hosted destination session.
-    pub fn dest_mut(&mut self, id: SessionId) -> Option<&mut DestSession> {
-        let shard = self.router.route_id(id);
-        self.shards[shard].dest_mut(id)
-    }
-
     /// Split into the pieces the async runtime owns separately: the
     /// shards (one per worker task), the router (ingress) and the
     /// shared stats.
@@ -1880,17 +1781,15 @@ mod tests {
             chunks_sent: 5,
             retransmits: 6,
             msgs_acked: 7,
-            chunks_delivered: 8,
-            msgs_delivered: 9,
-            replies: 10,
-            drops: 11,
+            replies: 8,
+            drops: 9,
         };
         let values: Vec<u64> = stats.counters().iter().map(|(_, v)| *v).collect();
-        assert_eq!(values, (1..=11).collect::<Vec<u64>>());
+        assert_eq!(values, (1..=9).collect::<Vec<u64>>());
         let mut names: Vec<&str> = stats.counters().iter().map(|(n, _)| *n).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 11, "counter names must be unique");
+        assert_eq!(names.len(), 9, "counter names must be unique");
     }
 
     #[test]

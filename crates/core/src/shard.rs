@@ -28,7 +28,6 @@
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
 
-use slicing_graph::packets::SendInstr;
 use slicing_graph::info::NodeInfo;
 use slicing_graph::OverlayAddr;
 use slicing_wire::{FlowId, Packet};
@@ -221,6 +220,13 @@ impl ShardedRelay {
         self.shards[self.router.route(flow)].flow_info(flow)
     }
 
+    /// Forget a delivery its consumer refused; see
+    /// [`RelayShard::forget_delivery`].
+    pub fn forget_delivery(&mut self, flow: FlowId, seq: u32) {
+        let idx = self.router.route(flow);
+        self.shards[idx].forget_delivery(flow, seq);
+    }
+
     /// Feed one packet to the shard owning its flow.
     pub fn handle_packet(&mut self, now: Tick, from: OverlayAddr, packet: &Packet) -> RelayOutput {
         let idx = self.router.route(packet.header.flow_id);
@@ -235,20 +241,6 @@ impl ShardedRelay {
             out.merge(s.poll(now));
         }
         out
-    }
-
-    /// Send application data back toward the source on the reverse path
-    /// of `flow` (this node must be its destination); see
-    /// [`RelayShard::send_reverse`].
-    pub fn send_reverse(
-        &mut self,
-        now: Tick,
-        flow: FlowId,
-        seq: u32,
-        plaintext: &[u8],
-    ) -> Option<Vec<SendInstr>> {
-        let idx = self.router.route(flow);
-        self.shards[idx].send_reverse(now, flow, seq, plaintext)
     }
 
     /// Split into the pieces the async runtime owns separately: the

@@ -210,6 +210,7 @@ impl TestNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::{DestSession, SessionConfig};
     use slicing_graph::{DataMode, DestPlacement, GraphParams};
 
     fn addrs(base: u64, n: usize) -> Vec<OverlayAddr> {
@@ -390,18 +391,21 @@ mod tests {
         net.submit(setup);
         net.run_to_quiescence(Some(&mut source));
 
-        // Destination responds over the reverse path.
+        // Destination responds over the reverse path, from the flow info
+        // its relay decoded out of the setup slices.
         let dest_flow = source.graph().flow_ids[source.graph().dest.stage]
             [source.graph().dest.index];
-        let relay = net.relays.get_mut(&dest).unwrap();
-        let sends = relay
-            .send_reverse(Tick(0), dest_flow, 0, b"pong")
-            .expect("destination can send reverse");
+        let info = net.relays[&dest]
+            .flow_info(dest_flow)
+            .expect("destination established")
+            .clone();
+        let mut session = DestSession::new(dest, dest_flow, info, SessionConfig::default(), 6);
+        let (reply_id, sends) = session.reply(Tick(0), b"pong").expect("within reply budget");
         net.submit(sends);
         // First-hop reverse relays wait for their full child set, which
         // only the timeout resolves (the destination is one child).
-        let reverse = net.settle(Some(&mut source), 1_500, 6);
-        assert_eq!(reverse, vec![(0, b"pong".to_vec())]);
+        net.settle(Some(&mut source), 1_500, 6);
+        assert_eq!(source.pop_replies(), vec![(reply_id, b"pong".to_vec())]);
     }
 
     #[test]

@@ -1,19 +1,34 @@
 //! A deterministic mini-net for driving the session layer end to end:
-//! a pool of (sharded) relays plus one [`SessionManager`] hosting the
-//! endpoints, with optional loss / duplication / reordering applied to
-//! every in-flight packet — the adversarial transport the chunk →
-//! reassemble round-trip tests need.
+//! a pool of (sharded) relays, destination nodes that are exactly what
+//! `spawn_node` runs — a real relay at the destination address that
+//! decodes its own setup slices, with core's [`DestHost`] beside it —
+//! plus one [`SessionManager`] hosting the sources, with optional loss /
+//! duplication / reordering applied to every in-flight packet — the
+//! adversarial transport the chunk → reassemble round-trip tests need.
 
-use std::collections::{HashMap, VecDeque};
+// Each test crate uses its own subset of the harness.
+#![allow(dead_code)]
+
+use std::collections::{BTreeMap, VecDeque};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use slicing_core::{
-    OverlayAddr, RelayConfig, SendInstr, SessionId, SessionManager, ShardedRelay, Tick,
+    DestHost, DestSession, FlowId, OverlayAddr, RelayConfig, RelayOutput, SendInstr,
+    SessionConfig, SessionId, SessionManager, ShardedRelay, Tick,
 };
 
+/// One overlay node: the relay engine and its destination role.
+struct Node {
+    relay: ShardedRelay,
+    host: DestHost,
+}
+
 pub struct SessionNet {
-    pub relays: HashMap<OverlayAddr, ShardedRelay>,
+    /// Every node by address (ordered, so runs repeat exactly).
+    nodes: BTreeMap<OverlayAddr, Node>,
+    /// The relay pool graphs draw their stages from.
+    pub candidates: Vec<OverlayAddr>,
     pub queue: VecDeque<SendInstr>,
     pub now: Tick,
     /// Per-delivery drop probability.
@@ -22,8 +37,14 @@ pub struct SessionNet {
     pub dup_prob: f64,
     /// Deliver in random order instead of FIFO.
     pub shuffle: bool,
+    seed: u64,
+    relay_config: RelayConfig,
+    session_config: SessionConfig,
+    relay_shards: usize,
     rng: StdRng,
-    pub delivered: Vec<(SessionId, u32, Vec<u8>)>,
+    /// Stream messages completed at destination nodes, keyed by the
+    /// receiver flow they arrived on.
+    pub delivered: Vec<(FlowId, u32, Vec<u8>)>,
     pub acked: Vec<(SessionId, u32)>,
     pub replies: Vec<(SessionId, u32, Vec<u8>)>,
     pub raw: Vec<(SessionId, u32, Vec<u8>)>,
@@ -33,25 +54,59 @@ impl SessionNet {
     pub fn new(
         relay_addrs: &[OverlayAddr],
         seed: u64,
-        config: RelayConfig,
+        relay_config: RelayConfig,
+        session_config: SessionConfig,
         relay_shards: usize,
     ) -> Self {
-        SessionNet {
-            relays: relay_addrs
-                .iter()
-                .map(|&a| (a, ShardedRelay::with_config(a, seed, config, relay_shards)))
-                .collect(),
+        let mut net = SessionNet {
+            nodes: BTreeMap::new(),
+            candidates: relay_addrs.to_vec(),
             queue: VecDeque::new(),
             now: Tick::ZERO,
             drop_prob: 0.0,
             dup_prob: 0.0,
             shuffle: false,
+            seed,
+            relay_config,
+            session_config,
+            relay_shards,
             rng: StdRng::seed_from_u64(seed ^ 0x005E_5510), // session net stream
             delivered: Vec::new(),
             acked: Vec::new(),
             replies: Vec::new(),
             raw: Vec::new(),
+        };
+        for &addr in relay_addrs {
+            net.add_node(addr);
         }
+        net
+    }
+
+    /// Bring up a node at `addr` (idempotent) — how tests place a
+    /// destination outside the candidate pool.
+    pub fn add_node(&mut self, addr: OverlayAddr) {
+        let (seed, shards) = (self.seed, self.relay_shards);
+        let (relay_config, session_config) = (self.relay_config, self.session_config);
+        self.nodes.entry(addr).or_insert_with(|| {
+            let relay = ShardedRelay::with_config(addr, seed, relay_config, shards);
+            let host = DestHost::new(addr, session_config, seed, relay.shared_stats());
+            Node { relay, host }
+        });
+    }
+
+    /// The relay engine at `addr` (stats, flow table).
+    pub fn relay(&self, addr: OverlayAddr) -> &ShardedRelay {
+        &self.nodes[&addr].relay
+    }
+
+    /// The destination session terminating `flow`, wherever it lives.
+    pub fn dest_session(&mut self, flow: FlowId) -> Option<&mut DestSession> {
+        self.nodes.values_mut().find_map(|n| n.host.session_mut(flow))
+    }
+
+    /// Destination sessions across all nodes.
+    pub fn dest_session_count(&self) -> usize {
+        self.nodes.values().map(|n| n.host.session_count()).sum()
     }
 
     pub fn submit(&mut self, sends: Vec<SendInstr>) {
@@ -81,35 +136,48 @@ impl SessionNet {
             self.deliver(manager, instr);
         }
         self.now = self.now.plus(step_ms);
-        let addrs: Vec<OverlayAddr> = self.relays.keys().copied().collect();
-        for addr in addrs {
-            let out = self.relays.get_mut(&addr).unwrap().poll(self.now);
-            self.queue.extend(out.sends);
+        let now = self.now;
+        for node in self.nodes.values_mut() {
+            let out = node.relay.poll(now);
+            Self::run_dest_role(node, now, out, true, &mut self.queue, &mut self.delivered);
         }
         let out = manager.poll(self.now);
         self.absorb(out);
     }
 
     fn deliver(&mut self, manager: &mut SessionManager, instr: SendInstr) {
-        if let Some(relay) = self.relays.get_mut(&instr.to) {
-            let out = relay.handle_packet(self.now, instr.from, &instr.packet);
-            self.queue.extend(out.sends);
-            // Colocated receiver flows are not used by this harness (the
-            // destination is a manager-hosted endpoint), so `received`
-            // stays empty; assert that to catch mis-wired tests.
-            assert!(out.received.is_empty(), "unexpected relay-side delivery");
+        if let Some(node) = self.nodes.get_mut(&instr.to) {
+            let out = node.relay.handle_packet(self.now, instr.from, &instr.packet);
+            Self::run_dest_role(node, self.now, out, false, &mut self.queue, &mut self.delivered);
             return;
         }
-        // Not a relay: a manager attachment point (pseudo-source or
-        // destination endpoint). Unknown flows die here like any
-        // unroutable datagram.
+        // Not a node: a manager attachment point (pseudo-source).
+        // Unknown flows die here like any unroutable datagram.
         let out = manager.handle_packet(self.now, instr.to, instr.from, &instr.packet);
         self.absorb(out);
     }
 
+    /// What a relay shard worker does with each relay output: hand it to
+    /// the node's destination host, transmit, report completed messages.
+    fn run_dest_role(
+        node: &mut Node,
+        now: Tick,
+        mut out: RelayOutput,
+        poll: bool,
+        queue: &mut VecDeque<SendInstr>,
+        delivered: &mut Vec<(FlowId, u32, Vec<u8>)>,
+    ) {
+        let relay = &node.relay;
+        let report = node.host.drive(now, &mut out, |f| relay.flow_info(f), poll);
+        for (flow, seq) in report.refused {
+            node.relay.forget_delivery(flow, seq);
+        }
+        delivered.extend(report.messages);
+        queue.extend(out.sends);
+    }
+
     fn absorb(&mut self, out: slicing_core::SessionOutput) {
         self.queue.extend(out.sends);
-        self.delivered.extend(out.delivered);
         self.acked.extend(out.acked);
         self.replies.extend(out.replies);
         self.raw.extend(out.raw);

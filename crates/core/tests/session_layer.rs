@@ -1,7 +1,7 @@
 //! End-to-end tests of the session layer: streamed multi-chunk messages
-//! through a (sharded) relay overlay into a manager-hosted destination
-//! endpoint, acks driving the source window, replies on the reverse
-//! path, quotas and teardown hygiene.
+//! through a (sharded) relay overlay into the destination session
+//! colocated with the destination's relay, acks driving the source
+//! window, replies on the reverse path, quotas and teardown hygiene.
 
 mod common;
 
@@ -9,8 +9,8 @@ use common::SessionNet;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use slicing_core::{
-    DestPlacement, GraphParams, OverlayAddr, RelayConfig, SessionConfig, SessionError, SessionId,
-    SessionManager, SourceSession,
+    DestPlacement, FlowId, GraphParams, OverlayAddr, RelayConfig, SessionConfig, SessionError,
+    SessionId, SessionManager, SourceSession,
 };
 
 fn addrs(base: u64, n: usize) -> Vec<OverlayAddr> {
@@ -39,37 +39,32 @@ fn session_config() -> SessionConfig {
     }
 }
 
-/// Build one session's graph over the shared relay pool and host both
-/// endpoints on `manager`; returns the endpoint ids and the setup
-/// packets to submit. The destination endpoint gets its decoded info
-/// out of band from the source (it ignores the setup copies addressed
-/// to it).
+/// Build one session's graph over the shared relay pool, host its
+/// source on `manager` and bring up a node at the destination address;
+/// returns the source's id, the receiver flow (the key of everything
+/// the destination side reports) and the setup packets to submit. The
+/// destination learns the flow from the setup slices like any relay.
 #[allow(clippy::too_many_arguments)]
 fn open_session(
     manager: &mut SessionManager,
-    net: &SessionNet,
+    net: &mut SessionNet,
     pseudo: &[OverlayAddr],
     dest_addr: OverlayAddr,
     l: usize,
     d: usize,
     dp: usize,
     seed: u64,
-) -> (SessionId, SessionId, Vec<slicing_core::SendInstr>) {
-    let candidates: Vec<OverlayAddr> = net.relays.keys().copied().collect();
+) -> (SessionId, FlowId, Vec<slicing_core::SendInstr>) {
     let params = GraphParams::new(l, d)
         .with_paths(dp)
         .with_dest_placement(DestPlacement::LastStage);
     let (source, setup) =
-        SourceSession::establish(params, pseudo, &candidates, dest_addr, seed).unwrap();
+        SourceSession::establish(params, pseudo, &net.candidates, dest_addr, seed).unwrap();
     let g = source.graph();
     let dest_flow = g.flow_ids[g.dest.stage][g.dest.index];
-    let dest_info = g.infos[g.dest.stage][g.dest.index].clone();
-    let now = net.now;
-    let dest_id = manager
-        .open_dest(now, dest_addr, dest_flow, dest_info, seed ^ 0xD5)
-        .unwrap();
-    let src_id = manager.open_source(now, source).unwrap();
-    (src_id, dest_id, setup)
+    net.add_node(dest_addr);
+    let src_id = manager.open_source(net.now, source).unwrap();
+    (src_id, dest_flow, setup)
 }
 
 #[test]
@@ -77,10 +72,10 @@ fn stream_round_trip_32_chunks() {
     let relays = addrs(20_000, 24);
     let pseudo = addrs(10_000, 2);
     let dest = OverlayAddr(1);
-    let mut net = SessionNet::new(&relays, 7, relay_config(), 2);
+    let mut net = SessionNet::new(&relays, 7, relay_config(), session_config(), 2);
     let mut manager = SessionManager::new(2, 64, session_config());
 
-    let (src, dst, setup) = open_session(&mut manager, &net, &pseudo, dest, 3, 2, 2, 7);
+    let (src, dst, setup) = open_session(&mut manager, &mut net, &pseudo, dest, 3, 2, 2, 7);
     net.submit(setup);
     net.run(&mut manager, 4, 200);
 
@@ -107,14 +102,12 @@ fn stream_round_trip_32_chunks() {
     assert!(net.acked.contains(&(src, msg_id)));
     assert!(manager.streams_idle(), "window must drain after acks");
     assert_eq!(manager.in_flight_chunks(), 0);
-    let resident = manager.dest_mut(dst).unwrap().resident();
+    let resident = net.dest_session(dst).unwrap().resident();
     assert_eq!(resident.partial_msgs, 0);
     assert_eq!(resident.ready_msgs, 0);
     assert_eq!(resident.reassembly_bytes, 0);
-    assert_eq!(resident.gathers, 0, "per-seq gathers must be reaped");
 
     let stats = manager.stats();
-    assert_eq!(stats.msgs_delivered, 1);
     assert_eq!(stats.msgs_acked, 1);
     assert!(stats.chunks_sent >= 33, "stats: {stats:?}");
 }
@@ -123,7 +116,7 @@ fn stream_round_trip_32_chunks() {
 fn many_sessions_multiplex_in_order() {
     let relays = addrs(20_000, 30);
     let dest_pool = addrs(40_000, 8);
-    let mut net = SessionNet::new(&relays, 11, relay_config(), 1);
+    let mut net = SessionNet::new(&relays, 11, relay_config(), session_config(), 1);
     let mut manager = SessionManager::new(4, 256, session_config());
 
     let mut rng = StdRng::seed_from_u64(3);
@@ -131,18 +124,19 @@ fn many_sessions_multiplex_in_order() {
     for s in 0..24u64 {
         let pseudo = addrs(10_000 + s * 4, 2);
         let dest = dest_pool[rng.gen_range(0..dest_pool.len() - 1) + (s as usize % 2)];
-        // Each session needs a distinct destination address per flow?
-        // No — distinct flows share dest endpoints fine, but the
-        // manager keys dest sessions by flow id, so reuse is fine.
-        let (src, dst, setup) = open_session(&mut manager, &net, &pseudo, dest, 3, 2, 2, 100 + s);
+        // Sessions share destination nodes: a node's host keys its
+        // sessions by receiver flow.
+        let (src, dst, setup) =
+            open_session(&mut manager, &mut net, &pseudo, dest, 3, 2, 2, 100 + s);
         net.submit(setup);
         sessions.push((src, dst));
     }
     net.run(&mut manager, 5, 200);
-    assert_eq!(manager.session_count(), 48);
+    assert_eq!(manager.session_count(), 24);
+    assert_eq!(net.dest_session_count(), 24);
 
     // Every session streams 3 distinct messages.
-    let mut want: Vec<(SessionId, u32, Vec<u8>)> = Vec::new();
+    let mut want: Vec<(FlowId, u32, Vec<u8>)> = Vec::new();
     for (i, &(src, dst)) in sessions.iter().enumerate() {
         for m in 0..3u32 {
             let payload = format!("session {i} message {m}").into_bytes();
@@ -177,13 +171,12 @@ fn many_sessions_multiplex_in_order() {
     assert!(manager.streams_idle());
 
     // Teardown: every close releases its router registrations.
-    for &(src, dst) in &sessions {
+    for &(src, _) in &sessions {
         assert!(manager.close(src));
-        assert!(manager.close(dst));
     }
     assert_eq!(manager.session_count(), 0);
     let stats = manager.stats();
-    assert_eq!(stats.closed, 48);
+    assert_eq!(stats.closed, 24);
 }
 
 #[test]
@@ -191,13 +184,13 @@ fn backpressure_and_oversize_are_typed() {
     let relays = addrs(20_000, 16);
     let pseudo = addrs(10_000, 2);
     let dest = OverlayAddr(1);
-    let net = SessionNet::new(&relays, 13, relay_config(), 1);
+    let mut net = SessionNet::new(&relays, 13, relay_config(), session_config(), 1);
     let tight = SessionConfig {
         send_buffer_bytes: 4_000,
         ..session_config()
     };
     let mut manager = SessionManager::new(1, 8, tight);
-    let (src, _dst, _setup) = open_session(&mut manager, &net, &pseudo, dest, 3, 2, 2, 13);
+    let (src, _dst, _setup) = open_session(&mut manager, &mut net, &pseudo, dest, 3, 2, 2, 13);
 
     // Oversize: more than 65 535 chunks can never be expressed.
     let max = manager.source_mut(src).unwrap().max_stream_len();
@@ -218,7 +211,7 @@ fn backpressure_and_oversize_are_typed() {
     }
 
     // Shard quota: the 8-session budget rejects the 9th open.
-    let candidates: Vec<OverlayAddr> = net.relays.keys().copied().collect();
+    let candidates = net.candidates.clone();
     let mut opened = 1; // src above
     loop {
         let (source, _) = SourceSession::establish(
@@ -266,9 +259,7 @@ fn colocated_replay_surfaces_and_reacks() {
     let g = source.graph();
     let dest_addr = g.stages[g.dest.stage][g.dest.index];
     let dest_flow = g.flow_ids[g.dest.stage][g.dest.index];
-    let dest_info = g.infos[g.dest.stage][g.dest.index].clone();
     let mut relay = ShardedRelay::with_config(dest_addr, 5, relay_config(), 1);
-    let mut dest = DestSession::new(dest_addr, dest_flow, dest_info, session_config(), 5);
 
     let feed = |relay: &mut ShardedRelay, now: Tick, sends: &[SendInstr]| {
         let mut received = Vec::new();
@@ -282,6 +273,8 @@ fn colocated_replay_surfaces_and_reacks() {
     };
 
     feed(&mut relay, Tick(0), &setup);
+    let dest_info = relay.flow_info(dest_flow).expect("setup decoded").clone();
+    let mut dest = DestSession::new(dest_addr, dest_flow, dest_info, session_config(), 5);
     let (_, sends) = source.send(Tick(0), b"needs an ack").unwrap();
     let (received, replayed) = feed(&mut relay, Tick(10), &sends);
     assert_eq!(received.len(), 1, "chunk must deliver");
@@ -322,9 +315,9 @@ fn replies_reach_the_source() {
     let relays = addrs(20_000, 20);
     let pseudo = addrs(10_000, 2);
     let dest = OverlayAddr(1);
-    let mut net = SessionNet::new(&relays, 17, relay_config(), 2);
+    let mut net = SessionNet::new(&relays, 17, relay_config(), session_config(), 2);
     let mut manager = SessionManager::new(2, 16, session_config());
-    let (src, dst, setup) = open_session(&mut manager, &net, &pseudo, dest, 3, 2, 2, 17);
+    let (src, dst, setup) = open_session(&mut manager, &mut net, &pseudo, dest, 3, 2, 2, 17);
     net.submit(setup);
     net.run(&mut manager, 4, 200);
 
@@ -334,10 +327,11 @@ fn replies_reach_the_source() {
     net.run(&mut manager, 15, 150);
     assert_eq!(net.delivered.len(), 1);
 
-    let (reply_id, sends) = manager
-        .dest_mut(dst)
+    let now = net.now;
+    let (reply_id, sends) = net
+        .dest_session(dst)
         .unwrap()
-        .reply(net.now, b"pong from the hidden side")
+        .reply(now, b"pong from the hidden side")
         .unwrap();
     net.submit(sends);
     net.run(&mut manager, 15, 150);
@@ -348,4 +342,94 @@ fn replies_reach_the_source() {
         "reply must surface at the source (got {:?})",
         net.replies
     );
+}
+
+/// Every destination session of a node shares the node's seed; each must
+/// still draw its own nonce and coding-coefficient stream. The
+/// coefficients travel in clear at the head of every ack slice, so two
+/// flows answering with identical coefficients would let their first-hop
+/// reverse relays link them to one destination.
+#[test]
+fn sessions_of_one_node_draw_distinct_coding_streams() {
+    use slicing_core::{DestHost, ShardedRelay, Tick};
+
+    let params = GraphParams::new(1, 2).with_dest_placement(DestPlacement::LastStage);
+    let candidates = addrs(20_000, 8);
+    let dest_addr = OverlayAddr(1);
+    let mut relay = ShardedRelay::with_config(dest_addr, 5, relay_config(), 1);
+    let mut host = DestHost::new(dest_addr, session_config(), 5, relay.shared_stats());
+
+    // Two flows terminating at the same node; each sends one chunk and
+    // gets its first ack back: one slice per parent, `coeffs ‖ payload`.
+    let mut first_ack_coeffs = |pseudo_base: u64, seed: u64| -> Vec<Vec<u8>> {
+        let pseudo = addrs(pseudo_base, 2);
+        let (mut source, setup) =
+            SourceSession::establish(params, &pseudo, &candidates, dest_addr, seed).unwrap();
+        let (_, sends) = source.send(Tick(0), b"same plaintext on both flows").unwrap();
+        let mut acks = Vec::new();
+        for instr in setup.iter().chain(&sends).filter(|s| s.to == dest_addr) {
+            let mut out = relay.handle_packet(Tick(10), instr.from, &instr.packet);
+            let report = host.drive(Tick(10), &mut out, |f| relay.flow_info(f), false);
+            assert!(report.refused.is_empty());
+            acks.extend(out.sends);
+        }
+        assert_eq!(acks.len(), 2, "the first delivery acks at once, one slice per parent");
+        acks.iter().map(|a| a.packet.slot(0)[..2].to_vec()).collect()
+    };
+    let a = first_ack_coeffs(10_000, 5);
+    let b = first_ack_coeffs(11_000, 6);
+    assert_eq!(host.session_count(), 2);
+    assert_ne!(a, b, "two flows of one node answered with the same coefficients");
+}
+
+/// A chunk the destination session refuses over its reassembly quota is
+/// a drop of the relay that decoded it — and only a deferral: the source
+/// retries it, and once the quota drained it is decoded and delivered
+/// again instead of being swallowed as a replay.
+#[test]
+fn reassembly_quota_drop_is_counted_and_redelivered() {
+    let relays = addrs(20_000, 16);
+    let pseudo = addrs(10_000, 2);
+    let dest = OverlayAddr(1);
+    let params = GraphParams::new(3, 2)
+        .with_paths(2)
+        .with_dest_placement(DestPlacement::LastStage);
+    let (source, setup) = SourceSession::establish(params, &pseudo, &relays, dest, 23).unwrap();
+    let chunk = source.stream_chunk_len();
+    // Room for one full chunk and a little more.
+    let tight = SessionConfig {
+        reassembly_bytes: chunk + 100,
+        ..session_config()
+    };
+    let mut net = SessionNet::new(&relays, 23, relay_config(), tight, 1);
+    net.add_node(dest);
+    let mut manager = SessionManager::new(1, 8, session_config());
+    let src = manager.open_source(net.now, source).unwrap();
+    net.submit(setup);
+    net.run(&mut manager, 4, 200);
+
+    // Message 0 spans two chunks; its second chunk is lost, so its first
+    // sits in reassembly when message 1 arrives and no longer fits.
+    let first = vec![0xA5u8; chunk + 10];
+    let second = vec![0x5Au8; 200];
+    let (_, sends) = manager.send(net.now, src, &first).unwrap();
+    let lost_seq = sends.iter().map(|s| s.packet.header.seq).max().unwrap();
+    net.submit(sends.into_iter().filter(|s| s.packet.header.seq != lost_seq).collect());
+    net.run(&mut manager, 1, 100);
+    let drops_before = net.relay(dest).stats().drops;
+    let (_, sends) = manager.send(net.now, src, &second).unwrap();
+    net.submit(sends);
+    net.run(&mut manager, 1, 100);
+    assert_eq!(net.relay(dest).stats().drops, drops_before + 1, "the refused chunk is a relay drop");
+    assert!(net.delivered.is_empty());
+
+    // The retransmit timer resends both unacked chunks: message 0
+    // completes and drains the quota, the refused chunk is admitted on
+    // its retry.
+    net.run(&mut manager, 30, 100);
+    let got: Vec<&[u8]> = net.delivered.iter().map(|(_, _, bytes)| bytes.as_slice()).collect();
+    assert!(got == [first.as_slice(), second.as_slice()], "{} delivered", got.len());
+    assert_eq!(net.relay(dest).stats().drops, drops_before + 1);
+    assert!(manager.streams_idle(), "every chunk acknowledged");
+    assert_eq!(net.relay(dest).stats().drops, drops_before + 1);
 }

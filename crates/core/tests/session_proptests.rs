@@ -1,6 +1,7 @@
 //! Property tests for the session layer's chunk → reassemble pipeline:
-//! arbitrary payloads streamed through a real relay overlay into a
-//! [`DestSession`] endpoint survive loss, reordering and duplication —
+//! arbitrary payloads streamed through a real relay overlay into the
+//! `DestSession` colocated with the destination's relay — the path a
+//! running node takes — survive loss, reordering and duplication —
 //! the reassembled output is byte-identical, delivered exactly once,
 //! in order, and no per-message state outlives delivery.
 
@@ -40,25 +41,21 @@ fn round_trip(
     // d' = 3 paths → 3 pseudo-sources.
     let pseudo = addrs(10_000, 3);
     let dest = OverlayAddr(1);
-    let mut net = SessionNet::new(&relays, seed, relay_config(), 1);
-    let mut manager = SessionManager::new(
-        2,
-        16,
-        SessionConfig {
-            retransmit_ms: 1_000,
-            ack_interval_ms: 100,
-            ..SessionConfig::default()
-        },
-    );
+    let session_config = SessionConfig {
+        retransmit_ms: 1_000,
+        ack_interval_ms: 100,
+        ..SessionConfig::default()
+    };
+    let mut net = SessionNet::new(&relays, seed, relay_config(), session_config, 1);
+    let mut manager = SessionManager::new(2, 16, session_config);
 
     // Redundant paths (d' > d) so individual packet loss is survivable
     // within one round; retransmits cover the rest.
     let params = GraphParams::new(3, 2)
         .with_paths(3)
         .with_dest_placement(DestPlacement::LastStage);
-    let candidates: Vec<OverlayAddr> = net.relays.keys().copied().collect();
     let (mut source, setup) =
-        SourceSession::establish(params, &pseudo, &candidates, dest, seed).unwrap();
+        SourceSession::establish(params, &pseudo, &net.candidates, dest, seed).unwrap();
     // A small packet budget so modest payloads span several chunks.
     source.set_config(SourceConfig {
         data_packet_budget: 256,
@@ -66,11 +63,10 @@ fn round_trip(
         ..SourceConfig::default()
     });
     let g = source.graph();
-    let dest_flow = g.flow_ids[g.dest.stage][g.dest.index];
-    let dest_info = g.infos[g.dest.stage][g.dest.index].clone();
-    let dst = manager
-        .open_dest(net.now, dest, dest_flow, dest_info, seed ^ 0xD5)
-        .unwrap();
+    // Everything the destination side reports is keyed by the receiver
+    // flow, which its relay learns from the setup slices.
+    let dst = g.flow_ids[g.dest.stage][g.dest.index];
+    net.add_node(dest);
     let src = manager.open_source(net.now, source).unwrap();
 
     // Establish over a clean net (setup has no retransmission layer).
@@ -102,7 +98,7 @@ fn round_trip(
         manager.stats()
     );
     assert!(manager.streams_idle(), "source window must drain");
-    let resident = manager.dest_mut(dst).unwrap().resident();
+    let resident = net.dest_session(dst).unwrap().resident();
     assert_eq!(resident.partial_msgs, 0, "no partial messages retained");
     assert_eq!(resident.reassembly_bytes, 0, "no bytes retained");
 }

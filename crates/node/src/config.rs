@@ -459,12 +459,6 @@ impl NodeConfig {
                 ("session", "reassembly_bytes") => {
                     cfg.session.reassembly_bytes = parse_usize(line, key, value)?;
                 }
-                ("session", "max_gathers") => {
-                    cfg.session.max_gathers = parse_usize(line, key, value)?;
-                }
-                ("session", "gather_ttl_ms") => {
-                    cfg.session.gather_ttl_ms = parse_u64(line, key, value)?;
-                }
                 _ => return Err(unknown()),
             }
         }
@@ -552,9 +546,7 @@ impl NodeConfig {
              send_buffer_bytes = {send_buffer_bytes}\n\
              ack_every_chunks = {ack_every_chunks}\n\
              ack_interval_ms = {ack_interval_ms}\n\
-             reassembly_bytes = {reassembly_bytes}\n\
-             max_gathers = {max_gathers}\n\
-             gather_ttl_ms = {gather_ttl_ms}\n",
+             reassembly_bytes = {reassembly_bytes}\n",
             listen = self.listen,
             roles = roles.join(","),
             relay_shards = self.relay_shards,
@@ -582,8 +574,6 @@ impl NodeConfig {
             ack_every_chunks = self.session.ack_every_chunks,
             ack_interval_ms = self.session.ack_interval_ms,
             reassembly_bytes = self.session.reassembly_bytes,
-            max_gathers = self.session.max_gathers,
-            gather_ttl_ms = self.session.gather_ttl_ms,
         )
     }
 }

@@ -51,7 +51,7 @@ fn full_fixture_sets_every_field() {
     assert_eq!(cfg.relay.setup_flush_ms, 400);
     assert_eq!(cfg.relay.liveness_timeout_ms, 900);
     assert_eq!(cfg.session.window_chunks, 48);
-    assert_eq!(cfg.session.gather_ttl_ms, 5000);
+    assert_eq!(cfg.session.reassembly_bytes, 1_048_576);
 }
 
 #[test]
@@ -86,6 +86,23 @@ fn unknown_key_names_section_and_line() {
             key: "shards".to_string()
         }
     );
+}
+
+/// The endpoint-mode gather knobs left with endpoint mode: configs that
+/// still carry them are rejected like any other stray key.
+#[test]
+fn removed_gather_keys_are_unknown() {
+    for key in ["max_gathers", "gather_ttl_ms"] {
+        let text = format!("[node]\nlisten = \"127.0.0.1:9001\"\n[session]\n{key} = 64\n");
+        assert_eq!(
+            NodeConfig::parse(&text).unwrap_err(),
+            ConfigError::UnknownKey {
+                line: 4,
+                section: "session".to_string(),
+                key: key.to_string()
+            }
+        );
+    }
 }
 
 #[test]
@@ -191,7 +208,7 @@ proptest! {
         peers in collection::vec(1u16.., 0..5),
         udp in any::<bool>(),
         loss_millis in 0u32..1000,
-        timings in collection::vec(1u64..100_000, 17..18),
+        timings in collection::vec(1u64..100_000, 15..16),
     ) {
         let cfg = NodeConfig {
             listen,
@@ -231,8 +248,6 @@ proptest! {
                 ack_every_chunks: timings[12] as usize,
                 ack_interval_ms: timings[13],
                 reassembly_bytes: timings[14] as usize,
-                max_gathers: timings[15] as usize,
-                gather_ttl_ms: timings[16],
             },
         };
         let reparsed = NodeConfig::parse(&cfg.to_toml()).expect("printed config parses");

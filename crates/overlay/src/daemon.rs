@@ -8,17 +8,18 @@
 //!   received buffer and hands the frozen [`Bytes`] over an SPSC channel
 //!   to the worker owning that flow: the session plane (a
 //!   [`slicing_core::SessionManager`] split into per-shard workers that
-//!   host thousands of source/destination endpoints) if it registered
-//!   the flow, the relay plane otherwise.
+//!   host thousands of source endpoints) if it registered the flow, the
+//!   relay plane otherwise.
 //! * Each relay **worker** drives one [`RelayShard`] (packets + 50 ms
 //!   timer). Flows have shard affinity (`hash(flow_id) % N` via the
 //!   shared [`FlowRouter`]), so shards never contend on flow state and a
 //!   relay scales across cores; one shard is simply one worker behind the
-//!   ingress. Receiver flows the relay plane establishes get a colocated
-//!   [`DestSession`] in their owning worker — flow affinity means the
-//!   destination role adds no locks to the packet path — while the relay
-//!   keeps forwarding downstream so neighbours cannot tell the node
-//!   terminates traffic.
+//!   ingress. The destination role is core's [`DestHost`], one beside
+//!   each shard: receiver flows the relay plane establishes get a
+//!   [`slicing_core::DestSession`] there — flow affinity means the role
+//!   adds no locks to the packet path — while the relay keeps forwarding
+//!   downstream so neighbours cannot tell the node terminates traffic.
+//!   The worker only moves the host's output onto channels.
 //! * Every worker of either plane transmits through the same egress
 //!   flusher over the node's per-address sender map, grouping a flush's
 //!   sends by `(from, to)` into one transport batch each.
@@ -35,7 +36,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use slicing_core::{
-    DestSession, FlowRouter, OverlayAddr, Packet, RelayOutput, RelayShard, RelayStatsAtomic,
+    DestHost, FlowRouter, OverlayAddr, Packet, RelayOutput, RelayShard, RelayStatsAtomic,
     SessionConfig, SessionError, SessionId, SessionManager, SessionOutput, SessionRouter,
     SessionShard, SessionStats, SessionStatsAtomic, ShardedRelay, SourceSession, Tick,
 };
@@ -123,11 +124,10 @@ fn emit_events(
 /// map. Exits when every ingress has closed its inbox.
 ///
 /// With `dest_spec` set, the worker also plays the **destination role**
-/// for receiver flows its shard establishes: each gets a colocated
-/// [`DestSession`] (flow affinity — no locks), fed from the relay's
-/// decoded deliveries; completed stream messages go out on the spec's
-/// delivery channel and acks/replies ride the reverse path through this
-/// worker's egress.
+/// for receiver flows its shard establishes: a [`DestHost`] consumes the
+/// shard's output at every batch boundary; completed stream messages go
+/// out on the spec's delivery channel and acks ride the reverse path
+/// through this worker's egress.
 async fn shard_worker(
     mut shard: RelayShard,
     mut rx: mpsc::Receiver<RelayPacket>,
@@ -142,7 +142,10 @@ async fn shard_worker(
     ticker.set_missed_tick_behavior(tokio::time::MissedTickBehavior::Delay);
     let mut scratch = Vec::new();
     let mut last_poll = Instant::now();
-    let mut dests: HashMap<FlowId, DestSession> = HashMap::new();
+    let mut dest_role = dest_spec.map(|spec| {
+        let host = DestHost::new(addr, spec.config, spec.seed, Arc::clone(&stats));
+        (host, spec.deliveries)
+    });
     let handle = |shard: &mut RelayShard, from: OverlayAddr, bytes: Bytes| match Packet::from_bytes(
         bytes,
     ) {
@@ -182,16 +185,21 @@ async fn shard_worker(
             poll_boundary = true;
             outputs.merge(shard.poll(now_tick(epoch)));
         }
-        if let Some(spec) = &dest_spec {
-            drive_dest_role(
-                &mut shard,
-                &mut dests,
-                spec,
-                addr,
-                epoch,
-                &mut outputs,
-                poll_boundary,
-            );
+        if let Some((host, deliveries)) = &mut dest_role {
+            let now = now_tick(epoch);
+            let report = host.drive(now, &mut outputs, |f| shard.flow_info(f), poll_boundary);
+            for (flow, seq) in report.refused {
+                shard.forget_delivery(flow, seq);
+            }
+            for (flow, msg_id, payload) in report.messages {
+                let _ = deliveries.send(StreamDelivery {
+                    addr,
+                    flow,
+                    msg_id,
+                    payload,
+                    at_ms: now.0,
+                });
+            }
         }
         emit_events(&events, addr, epoch, &outputs);
         let misaddressed = flush_instr_batches(&egress, outputs.sends, &mut scratch).await;
@@ -202,101 +210,17 @@ async fn shard_worker(
     shard.publish_stats();
 }
 
-/// The colocated destination role of one relay shard worker: register
-/// sessions for freshly established receiver flows, feed relay
-/// deliveries through them, run their periodic work at poll boundaries,
-/// and GC sessions whose flow the relay evicted.
-fn drive_dest_role(
-    shard: &mut RelayShard,
-    dests: &mut HashMap<FlowId, DestSession>,
-    spec: &DestSessionSpec,
-    addr: OverlayAddr,
-    epoch: Instant,
-    outputs: &mut RelayOutput,
-    poll_boundary: bool,
-) {
-    let now = now_tick(epoch);
-    for &(flow, receiver) in &outputs.established {
-        if receiver && !dests.contains_key(&flow) {
-            if let Some(info) = shard.flow_info(flow) {
-                dests.insert(
-                    flow,
-                    DestSession::new(addr, flow, info.clone(), spec.config, spec.seed ^ flow.0),
-                );
-            }
-        }
-    }
-    // Repair re-setups splice new neighbour lists into the relay's
-    // flow; the colocated session's reverse routing must follow or its
-    // acks keep fanning to the replaced parent.
-    for &(flow, receiver) in &outputs.rekeyed {
-        if receiver {
-            if let (Some(dest), Some(info)) = (dests.get_mut(&flow), shard.flow_info(flow)) {
-                dest.set_info(info.clone());
-            }
-        }
-    }
-    for r in &outputs.received {
-        if let Some(dest) = dests.get_mut(&r.flow) {
-            let dout = dest.handle_delivery(now, r.seq, r.plaintext.clone());
-            absorb_dest_output(spec, addr, epoch, r.flow, dout, &mut outputs.sends);
-        }
-    }
-    // Replays the relay suppressed mean a lost ack: re-announce.
-    for &(flow, seq) in &outputs.replayed {
-        if let Some(dest) = dests.get_mut(&flow) {
-            let dout = dest.handle_replay(now, seq);
-            absorb_dest_output(spec, addr, epoch, flow, dout, &mut outputs.sends);
-        }
-    }
-    if poll_boundary && !dests.is_empty() {
-        let mut douts: Vec<(FlowId, slicing_core::DestOutput)> = Vec::new();
-        for (&flow, dest) in dests.iter_mut() {
-            if dest.next_due().is_some_and(|d| d.0 <= now.0) {
-                douts.push((flow, dest.poll(now)));
-            }
-        }
-        for (flow, dout) in douts {
-            absorb_dest_output(spec, addr, epoch, flow, dout, &mut outputs.sends);
-        }
-        // The relay's flow GC is authoritative: a session whose flow was
-        // evicted dies with it.
-        dests.retain(|flow, _| shard.flow_info(*flow).is_some());
-    }
-}
-
-/// Queue a dest session's reverse sends and report completed messages.
-fn absorb_dest_output(
-    spec: &DestSessionSpec,
-    addr: OverlayAddr,
-    epoch: Instant,
-    flow: FlowId,
-    dout: slicing_core::DestOutput,
-    sends: &mut Vec<SendInstr>,
-) {
-    sends.extend(dout.sends);
-    let at_ms = epoch.elapsed().as_millis() as u64;
-    for (msg_id, payload) in dout.messages {
-        let _ = spec.deliveries.send(StreamDelivery {
-            addr,
-            flow,
-            msg_id,
-            payload,
-            at_ms,
-        });
-    }
-}
-
 // ---- the combined node: relay + source + destination roles ---------------
 
 /// Colocated destination-session support for relay workers: receiver
-/// flows established by the relay plane get a [`DestSession`] in their
-/// owning shard worker.
+/// flows established by the relay plane get a
+/// [`slicing_core::DestSession`] in their owning shard worker's
+/// [`DestHost`].
 #[derive(Clone)]
 pub struct DestSessionSpec {
     /// Session tuning (ack cadence, reassembly quotas).
     pub config: SessionConfig,
-    /// Base RNG seed (mixed with the flow id per session).
+    /// Base RNG seed (each session mixes its flow id in).
     pub seed: u64,
     /// Completed stream messages are reported here.
     pub deliveries: mpsc::UnboundedSender<StreamDelivery>,
@@ -329,17 +253,6 @@ pub enum SessionEvent {
         /// Milliseconds since the daemon epoch.
         at_ms: u64,
     },
-    /// A manager-hosted destination endpoint completed a message.
-    Delivered {
-        /// The destination session.
-        session: SessionId,
-        /// Stream message id.
-        msg_id: u32,
-        /// The reassembled payload.
-        payload: Vec<u8>,
-        /// Milliseconds since the daemon epoch.
-        at_ms: u64,
-    },
     /// A destination reply surfaced at a source session.
     Reply {
         /// The source session.
@@ -351,7 +264,7 @@ pub enum SessionEvent {
         /// Milliseconds since the daemon epoch.
         at_ms: u64,
     },
-    /// An unframed (legacy) message surfaced at a session endpoint.
+    /// An unframed (legacy) reverse message surfaced at a source session.
     Raw {
         /// The session.
         session: SessionId,
@@ -558,10 +471,10 @@ struct IngressRouting {
 /// flows registered with the session plane go to the owning
 /// [`SessionShard`] worker, everything else to the relay plane's
 /// [`RelayShard`] workers (or dies as garbage when no plane claims it).
-/// Receiver flows the relay establishes get colocated [`DestSession`]s
-/// when `dest_sessions` is set, so one node terminates, originates and
-/// forwards traffic concurrently — with flow/session affinity keeping
-/// every packet path lock-free.
+/// Receiver flows the relay establishes get colocated
+/// [`slicing_core::DestSession`]s when `dest_sessions` is set, so one
+/// node terminates, originates and forwards traffic concurrently — with
+/// flow/session affinity keeping every packet path lock-free.
 ///
 /// Workers transmit each [`SendInstr`] through the port attached at its
 /// `from` address, so a relay must be spawned on a port at its own
@@ -890,7 +803,6 @@ fn emit_session_events(
     out: &mut SessionOutput,
 ) {
     let Some(ev) = events else {
-        out.delivered.clear();
         out.acked.clear();
         out.replies.clear();
         out.raw.clear();
@@ -901,14 +813,6 @@ fn emit_session_events(
         let _ = ev.send(SessionEvent::Acked {
             session,
             msg_id,
-            at_ms,
-        });
-    }
-    for (session, msg_id, payload) in out.delivered.drain(..) {
-        let _ = ev.send(SessionEvent::Delivered {
-            session,
-            msg_id,
-            payload,
             at_ms,
         });
     }

@@ -6,12 +6,41 @@
 
 use std::time::{Duration, Instant};
 
-use information_slicing::core::{GraphParams, OverlayAddr, ShardedRelay, SourceSession, Tick};
+use information_slicing::core::{
+    DestHost, GraphParams, OverlayAddr, RelayOutput, SendInstr, SessionConfig, ShardedRelay,
+    SourceSession, Tick,
+};
 use information_slicing::overlay::daemon::now_tick;
 use information_slicing::overlay::{spawn_node, EmulatedNet, NodeSpec};
 use information_slicing::sim::NetProfile;
 use information_slicing::wire::Packet;
 use tokio::sync::mpsc;
+
+/// Bob is a relay like any other that happens to be the destination: his
+/// destination role consumes whatever his relay just decoded and answers
+/// every completed message along the reverse path.
+fn bob_answers(
+    relay: &mut ShardedRelay,
+    dest: &mut DestHost,
+    now: Tick,
+    mut out: RelayOutput,
+    poll: bool,
+) -> (Vec<SendInstr>, bool) {
+    let report = dest.drive(now, &mut out, |f| relay.flow_info(f), poll);
+    for (flow, seq) in report.refused {
+        relay.forget_delivery(flow, seq);
+    }
+    let heard = !report.messages.is_empty();
+    for (flow, _, text) in report.messages {
+        println!("Bob received : {:?}", String::from_utf8_lossy(&text));
+        let session = dest.session_mut(flow).expect("the flow just delivered");
+        let (_, reply) = session
+            .reply(now, b"hello, mysterious stranger")
+            .expect("within the reply budget");
+        out.sends.extend(reply);
+    }
+    (out.sends, heard)
+}
 
 #[tokio::main(flavor = "multi_thread", worker_threads = 4)]
 async fn main() {
@@ -40,6 +69,7 @@ async fn main() {
     let mut bob_port = net.attach(OverlayAddr(1));
     let bob_addr = bob_port.addr;
     let mut bob = ShardedRelay::new(bob_addr, 99, 1);
+    let mut bob_dest = DestHost::new(bob_addr, SessionConfig::default(), 99, bob.shared_stats());
 
     // Alice: two pseudo-sources, a 4-stage graph with d = 2.
     let mut port_a = net.attach(OverlayAddr(501));
@@ -55,14 +85,15 @@ async fn main() {
     tokio::time::sleep(Duration::from_millis(300)).await;
 
     // Alice speaks first.
-    let (_, sends) = alice.send_message(b"hi bob, it's... someone").expect("within chunk budget");
+    let (_, sends) = alice
+        .send(now_tick(epoch), b"hi bob, it's... someone")
+        .expect("within the send buffer");
     for instr in sends {
         let port = if instr.from == port_a.addr { &port_a } else { &port_b };
         port.tx.send(instr.to, instr.packet.encode()).await;
     }
 
     // Bob's event loop: decode the message, reply on the reverse path.
-    let mut bob_flow = None;
     let mut replied = false;
     let mut reply = None;
     let deadline = tokio::time::sleep(Duration::from_secs(30));
@@ -73,46 +104,37 @@ async fn main() {
             maybe = bob_port.rx.recv() => {
                 let Some((from, bytes)) = maybe else { break };
                 let Ok(packet) = Packet::decode(&bytes) else { continue };
-                let out = bob.handle_packet(now_tick(epoch), from, &packet);
-                if let Some(&(flow, true)) = out.established.first() {
-                    bob_flow = Some(flow);
-                }
-                for send in out.sends {
+                let now = now_tick(epoch);
+                let out = bob.handle_packet(now, from, &packet);
+                let (sends, heard) = bob_answers(&mut bob, &mut bob_dest, now, out, false);
+                replied |= heard;
+                for send in sends {
                     bob_port.tx.send(send.to, send.packet.encode()).await;
-                }
-                if let Some(msg) = out.received.into_iter().next() {
-                    println!("Bob received : {:?}", String::from_utf8_lossy(&msg.plaintext));
-                    let flow = bob_flow.expect("established before data");
-                    let replies = bob
-                        .send_reverse(now_tick(epoch), flow, 0, b"hello, mysterious stranger")
-                        .expect("bob is the receiver");
-                    for send in replies {
-                        bob_port.tx.send(send.to, send.packet.encode()).await;
-                    }
-                    replied = true;
                 }
             }
             // Alice's pseudo-sources listen for the reverse reply.
             maybe = port_a.rx.recv(), if replied => {
                 if let Some((from, bytes)) = maybe {
                     if let Ok(p) = Packet::decode(&bytes) {
-                        let a = port_a.addr;
-                        reply = alice.handle_packet(Tick(0), a, from, &p);
+                        alice.handle_packet(now_tick(epoch), port_a.addr, from, &p);
+                        reply = alice.pop_replies().pop();
                     }
                 }
             }
             maybe = port_b.rx.recv(), if replied => {
                 if let Some((from, bytes)) = maybe {
                     if let Ok(p) = Packet::decode(&bytes) {
-                        let a = port_b.addr;
-                        reply = alice.handle_packet(Tick(0), a, from, &p);
+                        alice.handle_packet(now_tick(epoch), port_b.addr, from, &p);
+                        reply = alice.pop_replies().pop();
                     }
                 }
             }
-            // Bob's timers (reverse first-hop relays flush on timeout).
+            // Bob's timers (gather flushes, ack cadence).
             _ = ticker.tick() => {
-                let out = bob.poll(now_tick(epoch));
-                for send in out.sends {
+                let now = now_tick(epoch);
+                let out = bob.poll(now);
+                let (sends, _) = bob_answers(&mut bob, &mut bob_dest, now, out, true);
+                for send in sends {
                     bob_port.tx.send(send.to, send.packet.encode()).await;
                 }
             }
