@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use slicing_gf::{bulk, Field, Gf256, Gf65536, Matrix};
+use slicing_gf::{bulk, Gf256, Matrix};
 
 fn gf(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(11);
@@ -21,7 +21,7 @@ fn gf(c: &mut Criterion) {
     let b256: Vec<Gf256> = (0..4096).map(|_| Gf256::random(&mut rng)).collect();
     group.throughput(Throughput::Bytes(4096));
     // The pre-port scalar loop (log/exp per element) the bulk-table
-    // `field::dot` replaced; kept for the before/after delta.
+    // `dot` replaced; kept for the before/after delta.
     group.bench_function("gf256_4096", |bench| {
         bench.iter(|| {
             let mut acc = Gf256::zero();
@@ -35,7 +35,7 @@ fn gf(c: &mut Criterion) {
         bench.iter(|| slicing_gf::dot(&a256, &b256));
     });
     // Field-element axpy: the matrix-elimination row kernel, scalar loop
-    // vs the bulk-table `field::axpy` it now dispatches to.
+    // vs the bulk-table `axpy` it now dispatches to.
     let mut acc256: Vec<Gf256> = (0..4096).map(|_| Gf256::random(&mut rng)).collect();
     group.bench_function("gf256_4096_axpy_scalar", |bench| {
         bench.iter(|| {
@@ -47,35 +47,6 @@ fn gf(c: &mut Criterion) {
     });
     group.bench_function("gf256_4096_axpy_bulk", |bench| {
         bench.iter(|| slicing_gf::axpy(&mut acc256, Gf256::new(0xA7), &b256));
-    });
-    let a64k: Vec<Gf65536> = (0..2048).map(|_| Gf65536::random(&mut rng)).collect();
-    let b64k: Vec<Gf65536> = (0..2048).map(|_| Gf65536::random(&mut rng)).collect();
-    group.throughput(Throughput::Bytes(4096));
-    // The pre-port scalar GF(2¹⁶) loop (tables fetch + two logs per
-    // element) vs the word-slice kernels `Gf65536`'s hooks dispatch to.
-    group.bench_function("gf65536_2048", |bench| {
-        bench.iter(|| {
-            let mut acc = Gf65536::zero();
-            for (&x, &y) in a64k.iter().zip(b64k.iter()) {
-                acc = acc.add(x.mul(y));
-            }
-            acc
-        });
-    });
-    group.bench_function("gf65536_2048_dot_bulk", |bench| {
-        bench.iter(|| slicing_gf::dot(&a64k, &b64k));
-    });
-    let mut acc64k: Vec<Gf65536> = (0..2048).map(|_| Gf65536::random(&mut rng)).collect();
-    group.bench_function("gf65536_2048_axpy_scalar", |bench| {
-        bench.iter(|| {
-            let c = Gf65536::new(0xA7C3);
-            for (a, &s) in acc64k.iter_mut().zip(b64k.iter()) {
-                *a = a.add(c.mul(s));
-            }
-        });
-    });
-    group.bench_function("gf65536_2048_axpy_bulk", |bench| {
-        bench.iter(|| slicing_gf::axpy(&mut acc64k, Gf65536::new(0xA7C3), &b64k));
     });
     group.finish();
 
@@ -131,14 +102,6 @@ fn gf(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("dot8", backend), |bench| {
             bench.iter(|| bulk::dot_slice8_on(backend, &dot_a, &dot_b));
         });
-        group.bench_function(BenchmarkId::new("axpy16", backend), |bench| {
-            bench.iter(|| {
-                bulk::mul_add_slice16_on(backend, &mut acc64k, Gf65536::new(0xA7C3), &b64k)
-            });
-        });
-        group.bench_function(BenchmarkId::new("dot16", backend), |bench| {
-            bench.iter(|| bulk::dot_slice16_on(backend, &a64k, &b64k));
-        });
     }
     group.finish();
 
@@ -184,7 +147,7 @@ fn gf(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_millis(600));
     group.warm_up_time(std::time::Duration::from_millis(200));
     for n in [2usize, 4, 8] {
-        let m = Matrix::<Gf256>::random_invertible(n, &mut rng);
+        let m = Matrix::random_invertible(n, &mut rng);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| m.inverse().unwrap());
         });

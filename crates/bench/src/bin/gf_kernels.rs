@@ -1,5 +1,5 @@
-//! GF kernel throughput smoke: GiB/s per kernel, per field, per
-//! available backend — and a machine-readable `BENCH_gf.json` so CI
+//! GF(2⁸) kernel throughput smoke: GiB/s per kernel, per available
+//! backend — and a machine-readable `BENCH_gf.json` so CI
 //! records the perf trajectory across PRs.
 //!
 //! Self-timed (no criterion) so it runs in seconds as a CI step. Each
@@ -10,7 +10,6 @@
 //!
 //! Kernels covered, matching the gf_bench criterion groups:
 //! * `axpy8` / `dot8` — GF(2⁸) slice transform and dot product;
-//! * `axpy16` / `dot16` — the GF(2¹⁶) equivalents;
 //! * `fused8` — the 4-output × 4-source fused recombine kernel.
 
 use std::time::Instant;
@@ -18,7 +17,7 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use slicing_bench::{banner, RunOpts, Table};
-use slicing_gf::{bulk, simd, Field, Gf65536};
+use slicing_gf::{bulk, simd};
 
 /// Bytes processed per kernel pass (per input stream).
 const LEN: usize = 4096;
@@ -54,7 +53,7 @@ fn main() {
             simd::isa(),
             simd::available_backends()
         ),
-        "SIMD ≥4× SWAR on axpy/dot in both fields on a capable host",
+        "SIMD ≥4× SWAR on axpy/dot on a capable host",
     );
 
     let mut rng = StdRng::seed_from_u64(opts.seed);
@@ -62,9 +61,6 @@ fn main() {
     let mut src = vec![0u8; LEN];
     rng.fill_bytes(&mut dst);
     rng.fill_bytes(&mut src);
-    let a16: Vec<Gf65536> = (0..LEN / 2).map(|_| Gf65536::random(&mut rng)).collect();
-    let b16: Vec<Gf65536> = (0..LEN / 2).map(|_| Gf65536::random(&mut rng)).collect();
-    let mut acc16 = a16.clone();
     let srcs: Vec<Vec<u8>> = (0..4)
         .map(|_| {
             let mut v = vec![0u8; LEN / 4];
@@ -76,7 +72,7 @@ fn main() {
     let coeffs: Vec<u8> = (0..16).map(|_| rng.gen_range(1..=255)).collect();
     let mut fused_outs: Vec<Vec<u8>> = vec![vec![0u8; LEN / 4]; 4];
 
-    let mut table = Table::new(&["backend", "axpy8", "dot8", "axpy16", "dot16", "fused8"]);
+    let mut table = Table::new(&["backend", "axpy8", "dot8", "fused8"]);
     let mut entries = Vec::new();
     for (bi, backend) in simd::available_backends().into_iter().enumerate() {
         let axpy8 = gibs(reps, LEN, || {
@@ -85,23 +81,16 @@ fn main() {
         let dot8 = gibs(reps, LEN, || {
             std::hint::black_box(bulk::dot_slice8_on(backend, &dst, &src));
         });
-        let axpy16 = gibs(reps, LEN, || {
-            bulk::mul_add_slice16_on(backend, &mut acc16, Gf65536::new(0xA7C3), &b16)
-        });
-        let dot16 = gibs(reps, LEN, || {
-            std::hint::black_box(bulk::dot_slice16_on(backend, &a16, &b16));
-        });
         let fused8 = gibs(reps / 4, 4 * LEN, || {
             let mut out_refs: Vec<&mut [u8]> =
                 fused_outs.iter_mut().map(|o| o.as_mut_slice()).collect();
             bulk::mul_add_fused_on(backend, &mut out_refs, &coeffs, &src_refs);
         });
-        table.row(&[bi as f64, axpy8, dot8, axpy16, dot16, fused8]);
+        table.row(&[bi as f64, axpy8, dot8, fused8]);
         entries.push(format!(
             "    {{\"backend\": \"{backend}\", \
              \"gf8\": {{\"axpy_gibs\": {axpy8:.3}, \"dot_gibs\": {dot8:.3}, \
-             \"fused_axpy_gibs\": {fused8:.3}}}, \
-             \"gf16\": {{\"axpy_gibs\": {axpy16:.3}, \"dot_gibs\": {dot16:.3}}}}}"
+             \"fused_axpy_gibs\": {fused8:.3}}}}}"
         ));
     }
     println!("(backend column: index into {:?})", simd::available_backends());

@@ -76,7 +76,7 @@ pub fn join_blocks(blocks: &[Vec<u8>]) -> Result<Vec<u8>, CodecError> {
 ///
 /// # Panics
 /// Panics if `g.ncols() != blocks.len()` or blocks are ragged.
-pub fn encode_blocks(g: &Matrix<Gf256>, blocks: &[Vec<u8>]) -> Vec<InfoSlice> {
+pub fn encode_blocks(g: &Matrix, blocks: &[Vec<u8>]) -> Vec<InfoSlice> {
     assert_eq!(g.ncols(), blocks.len(), "generator shape mismatch");
     let block_len = blocks.first().map_or(0, |b| b.len());
     assert!(blocks.iter().all(|b| b.len() == block_len), "ragged blocks");
@@ -119,7 +119,7 @@ pub fn encode<R: Rng + ?Sized>(
     assert!(d >= 1, "split factor must be >= 1");
     assert!(d_prime >= d, "d' must be >= d");
     let (blocks, block_len) = split_blocks(msg, d);
-    let g = mds::strong_generator::<Gf256, _>(d_prime, d, rng);
+    let g = mds::strong_generator(d_prime, d, rng);
     SlicedMessage {
         slices: encode_blocks(&g, &blocks),
         d,
@@ -195,7 +195,6 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use slicing_gf::Field;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(99)
@@ -342,7 +341,7 @@ mod tests {
         for v in [0u8, 1, 17, 128, 255] {
             // Unknowns: blocks[1][0], blocks[2][0]; fixed: blocks[0][0] = v.
             // Observed equations: payload_i[0] = Σ_k coeffs_i[k]·block_k[0].
-            let mut a = Matrix::<Gf256>::zero(d - 1, d - 1);
+            let mut a = Matrix::zero(d - 1, d - 1);
             let mut b = Vec::with_capacity(d - 1);
             for (i, s) in observed.iter().enumerate() {
                 for k in 1..d {

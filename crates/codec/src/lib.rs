@@ -19,13 +19,10 @@
 //! * [`recombine`](mod@recombine) — relay-side redundancy regeneration.
 //! * [`transform`] — per-hop affine slice transforms that defeat
 //!   pattern-insertion tracking (§9.4(a)).
-//! * [`itshare`] — the information-theoretic mode sketched in §5
-//!   (additive d-of-d secret sharing at d-fold space cost).
 
 #![forbid(unsafe_code)]
 
 pub mod coder;
-pub mod itshare;
 pub mod recombine;
 pub mod slice;
 pub mod transform;

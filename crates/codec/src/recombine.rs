@@ -175,7 +175,7 @@ mod tests {
     use crate::coder::{decode, encode};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use slicing_gf::{Field, Gf256};
+    use slicing_gf::Gf256;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(2024)

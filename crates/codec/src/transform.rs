@@ -18,7 +18,7 @@
 use rand::Rng;
 
 use slicing_crypto::chacha20::ChaCha20;
-use slicing_gf::{bulk, Field, Gf256};
+use slicing_gf::{bulk, Gf256};
 
 /// Length of a transform seed in bytes.
 pub const SEED_LEN: usize = 16;

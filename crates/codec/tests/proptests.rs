@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use slicing_codec::{coder, decode, encode, itshare, recombine, transform, HopTransform};
+use slicing_codec::{coder, decode, encode, recombine, transform, HopTransform};
 
 proptest! {
     /// encode/decode round-trips for arbitrary messages and (d, d′).
@@ -68,17 +68,6 @@ proptest! {
         prop_assert_eq!(buf, data);
     }
 
-    /// Additive sharing round-trips and each proper subset differs from
-    /// the plaintext.
-    #[test]
-    fn itshare_round_trip(seed in any::<u64>(),
-                          block in proptest::collection::vec(any::<u8>(), 1..100),
-                          d in 1usize..6) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let s = itshare::share(&block, d, &mut rng);
-        prop_assert_eq!(itshare::reconstruct(&s), block);
-    }
-
     /// split/join block framing round-trips for all message sizes.
     #[test]
     fn block_framing(msg in proptest::collection::vec(any::<u8>(), 0..1000), d in 1usize..8) {
@@ -94,7 +83,7 @@ proptest! {
     fn pi_security(seed in any::<u64>(),
                    msg in proptest::collection::vec(any::<u8>(), 8..64),
                    probe in any::<u8>(), pos_seed in any::<u16>()) {
-        use slicing_gf::{Field, Gf256, Matrix};
+        use slicing_gf::{Gf256, Matrix};
         let d = 3usize;
         let mut rng = StdRng::seed_from_u64(seed);
         let coded = encode(&msg, d, d, &mut rng);
@@ -102,7 +91,7 @@ proptest! {
         let block_len = coded.block_len;
         let byte_pos = (pos_seed as usize) % block_len;
         // Fix block 0's byte at `byte_pos` to `probe`; solve for the rest.
-        let mut a = Matrix::<Gf256>::zero(d - 1, d - 1);
+        let mut a = Matrix::zero(d - 1, d - 1);
         let mut b = Vec::new();
         for (i, s) in observed.iter().enumerate() {
             for k in 1..d {
@@ -122,10 +111,10 @@ proptest! {
         msg in proptest::collection::vec(any::<u8>(), 0..2048),
         d in 1usize..6, extra in 0usize..4,
     ) {
-        use slicing_gf::{mds, Gf256};
+        use slicing_gf::mds;
         let mut rng = StdRng::seed_from_u64(seed);
         let (blocks, _) = coder::split_blocks(&msg, d);
-        let g = mds::strong_generator::<Gf256, _>(d + extra, d, &mut rng);
+        let g = mds::strong_generator(d + extra, d, &mut rng);
         let slices = coder::encode_blocks(&g, &blocks);
         let decoded = coder::decode_blocks(&slices, d).unwrap();
         prop_assert_eq!(&decoded, &blocks, "blocks must round-trip byte-identically");

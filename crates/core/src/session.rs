@@ -146,8 +146,10 @@ pub struct SessionConfig {
     /// Acknowledge pending delivery state at least this often.
     pub ack_interval_ms: u64,
     /// Per-session cap on reassembly bytes (partial and
-    /// completed-but-out-of-order messages). Chunks beyond it are
-    /// dropped *unacked*, so the source retries them later.
+    /// completed-but-out-of-order messages, plus each partial message's
+    /// per-chunk bookkeeping). Chunks beyond it are dropped *unacked*,
+    /// so the source retries them later — except chunks of the next
+    /// message due for delivery, which are always admitted.
     pub reassembly_bytes: usize,
 }
 
@@ -615,7 +617,9 @@ pub struct DestResident {
     pub partial_msgs: usize,
     /// Completed messages held for in-order release.
     pub ready_msgs: usize,
-    /// Bytes across partial and held messages.
+    /// Bytes charged to the reassembly quota: chunk bytes across
+    /// partial and held messages plus the partial messages' per-chunk
+    /// bookkeeping.
     pub reassembly_bytes: usize,
 }
 
@@ -625,6 +629,12 @@ struct Reassembly {
     count: u16,
     got: u16,
     parts: Vec<Option<Vec<u8>>>,
+}
+
+/// Quota charge of a [`Reassembly`]'s `parts` table for a `count`-chunk
+/// message, held from the entry's creation until it completes.
+fn parts_cost(count: u16) -> usize {
+    count as usize * std::mem::size_of::<Option<Vec<u8>>>()
 }
 
 /// The destination endpoint of one anonymous session (§4.3.5 applied at
@@ -768,19 +778,33 @@ impl DestSession {
                     self.mark_delivered(seq);
                     out.chunks += 1;
                 } else {
-                    let entry_exists = self.reasm.contains_key(&msg_id);
-                    if !entry_exists && self.reasm_bytes + chunk.len() > self.config.reassembly_bytes
-                    {
-                        // Reassembly quota: drop *unacked* so the source
-                        // retries once earlier messages drained.
-                        out.dropped += 1;
-                        return out;
+                    // The head message is always admitted: every held
+                    // successor waits for it, so refusing it would wedge
+                    // the stream. The quota overshoot is bounded by that
+                    // one message.
+                    let head = msg_id == self.next_deliver;
+                    let quota = self.config.reassembly_bytes;
+                    if !self.reasm.contains_key(&msg_id) {
+                        // The `parts` table is sized by the source-chosen
+                        // count, so it is charged like chunk bytes.
+                        let cost = parts_cost(count);
+                        if !head && self.reasm_bytes + cost + chunk.len() > quota {
+                            // Reassembly quota: drop *unacked* so the
+                            // source retries once earlier messages drained.
+                            out.dropped += 1;
+                            return out;
+                        }
+                        self.reasm_bytes += cost;
+                        self.reasm.insert(
+                            msg_id,
+                            Reassembly {
+                                count,
+                                got: 0,
+                                parts: vec![None; count as usize],
+                            },
+                        );
                     }
-                    let r = self.reasm.entry(msg_id).or_insert_with(|| Reassembly {
-                        count,
-                        got: 0,
-                        parts: vec![None; count as usize],
-                    });
+                    let r = self.reasm.get_mut(&msg_id).expect("present");
                     if r.count != count || r.parts[idx as usize].is_some() {
                         // Shape forgery or duplicate chunk under a fresh
                         // seq: ack the seq (it is delivered content-wise)
@@ -788,7 +812,7 @@ impl DestSession {
                         self.mark_delivered(seq);
                         out.chunks += 1;
                     } else {
-                        if self.reasm_bytes + chunk.len() > self.config.reassembly_bytes {
+                        if !head && self.reasm_bytes + chunk.len() > quota {
                             out.dropped += 1;
                             return out;
                         }
@@ -800,6 +824,7 @@ impl DestSession {
                         out.chunks += 1;
                         if complete {
                             let r = self.reasm.remove(&msg_id).expect("present");
+                            self.reasm_bytes -= parts_cost(r.count);
                             let mut bytes =
                                 Vec::with_capacity(r.parts.iter().flatten().map(Vec::len).sum());
                             for part in r.parts.into_iter().flatten() {

@@ -433,3 +433,130 @@ fn reassembly_quota_drop_is_counted_and_redelivered() {
     assert!(manager.streams_idle(), "every chunk acknowledged");
     assert_eq!(net.relay(dest).stats().drops, drops_before + 1);
 }
+
+/// Later messages that complete first are held for in-order release and
+/// fill the reassembly quota; the head message they all wait for must
+/// still be admitted, or every retransmission of it is refused and the
+/// stream wedges.
+#[test]
+fn head_message_is_admitted_over_a_quota_held_by_successors() {
+    let relays = addrs(20_000, 16);
+    let pseudo = addrs(10_000, 2);
+    let dest = OverlayAddr(1);
+    let params = GraphParams::new(3, 2)
+        .with_paths(2)
+        .with_dest_placement(DestPlacement::LastStage);
+    let (source, setup) = SourceSession::establish(params, &pseudo, &relays, dest, 29).unwrap();
+    let chunk = source.stream_chunk_len();
+    let g = source.graph();
+    let dest_flow = g.flow_ids[g.dest.stage][g.dest.index];
+    // Room for the two one-chunk successors, not for the head beside them.
+    let tight = SessionConfig {
+        reassembly_bytes: 2 * chunk + 100,
+        ..session_config()
+    };
+    let mut net = SessionNet::new(&relays, 29, relay_config(), tight, 1);
+    net.add_node(dest);
+    let mut manager = SessionManager::new(1, 8, session_config());
+    let src = manager.open_source(net.now, source).unwrap();
+    net.submit(setup);
+    net.run(&mut manager, 4, 200);
+
+    // Message 0 is held back in the network while messages 1 and 2
+    // arrive, complete and wait for it.
+    let head = vec![0x11u8; 200];
+    let (_, held) = manager.send(net.now, src, &head).unwrap();
+    let later: Vec<Vec<u8>> = vec![vec![0x22u8; chunk], vec![0x33u8; chunk]];
+    for msg in &later {
+        let (_, sends) = manager.send(net.now, src, msg).unwrap();
+        net.submit(sends);
+    }
+    net.run(&mut manager, 3, 100);
+    assert!(net.delivered.is_empty(), "successors wait for the head");
+    let resident = net.dest_session(dest_flow).unwrap().resident();
+    assert_eq!(resident.ready_msgs, 2);
+    assert!(
+        resident.reassembly_bytes + 200 > 2 * chunk + 100,
+        "quota is full"
+    );
+
+    net.submit(held);
+    net.run(&mut manager, 30, 100);
+    let got: Vec<&[u8]> = net
+        .delivered
+        .iter()
+        .map(|(_, _, bytes)| bytes.as_slice())
+        .collect();
+    assert!(
+        got == [head.as_slice(), later[0].as_slice(), later[1].as_slice()],
+        "{} of 3 delivered",
+        got.len()
+    );
+    assert!(manager.streams_idle(), "every chunk acknowledged");
+}
+
+/// A data frame as the source's stream layer builds it:
+/// `0xD1 ‖ msg_id ‖ chunk_idx ‖ chunk_count ‖ chunk` (little-endian).
+fn data_frame(msg_id: u32, idx: u16, count: u16, chunk: &[u8]) -> Vec<u8> {
+    let mut f = vec![0xD1];
+    f.extend_from_slice(&msg_id.to_le_bytes());
+    f.extend_from_slice(&idx.to_le_bytes());
+    f.extend_from_slice(&count.to_le_bytes());
+    f.extend_from_slice(chunk);
+    f
+}
+
+/// The per-chunk table a message header makes the destination allocate
+/// is sized by the source-chosen chunk count, so it is charged to the
+/// reassembly quota: a 65 535-part header the quota cannot hold is
+/// refused, however few chunk bytes it carries. Only the next message
+/// due is admitted past the quota. (The charge is released when a
+/// message completes: `stream_round_trip_32_chunks` ends at zero.)
+#[test]
+fn oversized_part_tables_are_charged_to_the_quota() {
+    use slicing_core::{DestSession, ShardedRelay, Tick};
+
+    let params = GraphParams::new(1, 2).with_dest_placement(DestPlacement::LastStage);
+    let pseudo = addrs(10_000, 2);
+    let candidates = addrs(20_000, 8);
+    let (source, setup) =
+        SourceSession::establish(params, &pseudo, &candidates, OverlayAddr(1), 31).unwrap();
+    let g = source.graph();
+    let dest_addr = g.stages[g.dest.stage][g.dest.index];
+    let dest_flow = g.flow_ids[g.dest.stage][g.dest.index];
+    let mut relay = ShardedRelay::with_config(dest_addr, 31, relay_config(), 1);
+    for instr in setup.iter().filter(|s| s.to == dest_addr) {
+        relay.handle_packet(Tick(0), instr.from, &instr.packet);
+    }
+    let info = relay.flow_info(dest_flow).expect("setup decoded").clone();
+    let config = SessionConfig {
+        reassembly_bytes: 1024 * 1024,
+        ..session_config()
+    };
+    let mut dest = DestSession::new(dest_addr, dest_flow, info, config, 31);
+    let slot = std::mem::size_of::<Option<Vec<u8>>>();
+    assert!(65_535 * slot > config.reassembly_bytes);
+
+    // Headers for messages behind the head, one byte of chunk each.
+    for msg_id in 1..=8u32 {
+        let out = dest.handle_delivery(Tick(1), msg_id, data_frame(msg_id, 0, 65_535, b"x"));
+        assert_eq!(out.dropped, 1, "header of message {msg_id} admitted");
+    }
+    assert_eq!(dest.resident().partial_msgs, 0);
+    assert_eq!(dest.resident().reassembly_bytes, 0);
+
+    // A header that fits is admitted and charged for its table.
+    let out = dest.handle_delivery(Tick(2), 9, data_frame(9, 0, 2, b"abc"));
+    assert_eq!(out.dropped, 0);
+    assert_eq!(dest.resident().reassembly_bytes, 3 + 2 * slot);
+
+    // The head message is admitted whatever its count: every held
+    // successor waits for it, and the overshoot is bounded by it.
+    let out = dest.handle_delivery(Tick(3), 10, data_frame(0, 0, 65_535, b"head"));
+    assert_eq!(out.dropped, 0);
+    assert_eq!(dest.resident().partial_msgs, 2);
+    assert_eq!(
+        dest.resident().reassembly_bytes,
+        3 + 2 * slot + 4 + 65_535 * slot
+    );
+}

@@ -6,7 +6,10 @@
 //!    establishment (§4.2.1, §4.3.1) and used to encrypt data messages.
 //!    Provided here: [`chacha20`] (RFC 8439 stream cipher), [`sha256`]
 //!    (FIPS 180-4), [`hmac`] (RFC 2104), [`hkdf`] (RFC 5869), and an
-//!    encrypt-then-MAC [`aead`] built from those pieces.
+//!    encrypt-then-MAC [`aead`] built from those pieces. ChaCha20 and the
+//!    SHA-256 compression dispatch at runtime through [`simd`]: x86_64
+//!    `std::arch` engines when the host has the features, the portable
+//!    scalar code on every other host.
 //! 2. **Public-key operations** for the *onion-routing baseline* (§2,
 //!    §7.2: onion routing uses PKC for route setup, symmetric session keys
 //!    for data). Provided here: [`bignum`] multi-precision arithmetic,

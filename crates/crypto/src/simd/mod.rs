@@ -1,15 +1,15 @@
 //! Runtime-dispatched SIMD engines for the symmetric primitives.
 //!
-//! Mirrors the proven [`slicing_gf::simd`](../../../gf/src/simd/mod.rs)
+//! Mirrors the [`slicing_gf::simd`](../../../gf/src/simd/mod.rs)
 //! architecture: every hot symmetric operation ([`crate::chacha20`]
 //! keystream XOR, [`crate::sha256`] compression — and everything built
 //! on them: HMAC, HKDF, the AEAD) routes through one of two
-//! [`Backend`]s, chosen **once** at first use and cached for the life
-//! of the process:
+//! [`Backend`]s, chosen **once** at first use by CPU detection and
+//! cached for the life of the process:
 //!
 //! * [`Backend::Scalar`] — the portable reference implementations, the
-//!   oracle every SIMD engine is tested against and the
-//!   `SLICING_CRYPTO_FORCE=scalar` escape hatch.
+//!   oracle every SIMD engine is tested against and the path every
+//!   host without a usable ISA runs.
 //! * [`Backend::Simd`] — `std::arch` kernels selected by runtime
 //!   feature detection.
 //!
@@ -18,52 +18,38 @@
 //! | arch | ChaCha20 | SHA-256 |
 //! |------|----------|---------|
 //! | x86_64 | AVX2 4×-block, else SSSE3 1×-block | SHA-NI (`sha256rnds2`), else SSSE3 vectorized message schedule |
-//! | aarch64 | NEON 2×-block (always present) | crypto extensions (`sha256h`/`sha256su*`) when `sha2` is detected |
 //! | other | — (falls back to [`Backend::Scalar`]) | — |
 //!
-//! Feature detection is dynamic (`is_x86_feature_detected!`), so one
-//! binary runs everywhere and uses the best engine the host offers; a
-//! host with SSSE3 but no SHA extensions gets SIMD ChaCha20 and the
-//! vectorized-schedule SHA-256.
-//!
-//! ## Forcing a backend
-//!
-//! The `SLICING_CRYPTO_FORCE` environment variable, read once at
-//! dispatch initialization, pins the backend for the whole process:
-//! `scalar` or `simd`. Unknown values — and `simd` on a host without a
-//! usable ISA — **fail closed** to [`Backend::Scalar`]. CI runs the
-//! full test suite under `SLICING_CRYPTO_FORCE=scalar` so the oracle
-//! path stays green, and tests/benches use the explicit `*_on` entry
-//! points ([`crate::chacha20::ChaCha20::new_on`],
+//! Kernels exist only for an ISA this workspace's CI compiles and tests;
+//! every other architecture runs the scalar path until a kernel lands
+//! together with a CI job for it. Feature detection is dynamic
+//! (`is_x86_feature_detected!`), so one binary runs everywhere and uses
+//! the best engine the host offers; a host with SSSE3 but no SHA
+//! extensions gets SIMD ChaCha20 and the vectorized-schedule SHA-256.
+//! Tests and benches use the explicit `*_on` entry points
+//! ([`crate::chacha20::ChaCha20::new_on`],
 //! [`crate::sha256::Sha256::new_on`], [`crate::hmac::HmacKey::new_on`],
-//! [`crate::aead::SealingKey::new_on`]) to sweep every available
-//! backend against the scalar reference in one process.
+//! [`crate::aead::SealingKey::new_on`]) to sweep every backend in
+//! [`available_backends`] against the scalar reference in one process.
 
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 pub(crate) mod x86;
 
-#[cfg(target_arch = "aarch64")]
-#[allow(unsafe_code)]
-pub(crate) mod neon;
-
-/// The cfg-selected arch kernels the primitives dispatch into when the
-/// active backend is [`Backend::Simd`]. On architectures with no
-/// kernels this re-exports scalar delegates that are never selected at
-/// runtime (the detector never returns `Simd` there) but keep the call
-/// sites compiling.
+/// The cfg-selected kernels the primitives dispatch into when the
+/// active backend is [`Backend::Simd`]: the x86_64 kernels, or scalar
+/// delegates on every other architecture, where they are never
+/// selected at runtime (the detector never returns `Simd` there) but
+/// keep the call sites compiling.
 pub(crate) mod kernels {
     #[cfg(target_arch = "x86_64")]
     pub(crate) use super::x86::*;
 
-    #[cfg(target_arch = "aarch64")]
-    pub(crate) use super::neon::*;
-
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     pub(crate) use super::portable_fallback::*;
 }
 
-#[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+#[cfg(not(target_arch = "x86_64"))]
 mod portable_fallback {
     //! Scalar delegates for architectures without SIMD kernels. Dead at
     //! runtime (detection never selects `Simd` here); present so the
@@ -98,7 +84,7 @@ use std::sync::OnceLock;
 pub enum Backend {
     /// Portable reference implementations — the oracle.
     Scalar,
-    /// Runtime-detected `std::arch` kernels (AVX2/SSSE3/SHA-NI/NEON).
+    /// Runtime-detected `std::arch` kernels (AVX2/SSSE3/SHA-NI).
     Simd,
 }
 
@@ -117,8 +103,8 @@ pub(crate) struct Caps {
     /// 4×-block AVX2 ChaCha20 rather than 1×-block SSSE3.
     #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
     pub(crate) wide_chacha: bool,
-    /// Dedicated SHA-256 rounds (SHA-NI / ARMv8 crypto extensions)
-    /// rather than the vectorized message schedule.
+    /// Dedicated SHA-256 rounds (SHA-NI) rather than the vectorized
+    /// message schedule.
     #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
     pub(crate) sha_rounds: bool,
 }
@@ -160,21 +146,7 @@ fn detect() -> (Backend, Caps, &'static str) {
             "none",
         )
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        // NEON is baseline on aarch64; the SHA-256 crypto extension is
-        // optional and detected dynamically.
-        let sha_rounds = std::arch::is_aarch64_feature_detected!("sha2");
-        (
-            Backend::Simd,
-            Caps {
-                wide_chacha: false,
-                sha_rounds,
-            },
-            if sha_rounds { "neon+sha2" } else { "neon" },
-        )
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
         (
             Backend::Scalar,
@@ -190,48 +162,27 @@ fn detect() -> (Backend, Caps, &'static str) {
 fn state() -> &'static State {
     static STATE: OnceLock<State> = OnceLock::new();
     STATE.get_or_init(|| {
-        let (detected, caps, isa) = detect();
-        let backend = match std::env::var("SLICING_CRYPTO_FORCE") {
-            Ok(v) => match v.as_str() {
-                // `simd` honors detection: forcing it on a host without
-                // a usable ISA fails closed to scalar, as does any
-                // unrecognized value.
-                "simd" => detected,
-                _ => Backend::Scalar,
-            },
-            Err(_) => detected,
-        };
-        let isa = if backend == Backend::Simd {
-            isa
-        } else {
-            "none"
-        };
+        let (backend, caps, isa) = detect();
         State { backend, caps, isa }
     })
 }
 
-/// The process-wide active backend, selected once at first use.
-///
-/// Detection order: the `SLICING_CRYPTO_FORCE` environment variable
-/// (`scalar` / `simd`; unknown values fail closed to
-/// [`Backend::Scalar`]), then runtime CPU feature detection.
+/// The process-wide active backend, selected once at first use by
+/// runtime CPU feature detection.
 #[inline]
 pub fn backend() -> Backend {
     state().backend
 }
 
 /// Human-readable name of the instruction set the active
-/// [`Backend::Simd`] engines use (`"avx2+sha_ni"`, `"ssse3"`,
-/// `"neon"`, …), or `"none"` when the active backend is not SIMD.
+/// [`Backend::Simd`] engines use (`"avx2+sha_ni"`, `"ssse3"`, …), or
+/// `"none"` when the active backend is not SIMD.
 pub fn isa() -> &'static str {
     state().isa
 }
 
 #[inline]
-#[cfg_attr(
-    not(any(target_arch = "x86_64", target_arch = "aarch64")),
-    allow(dead_code)
-)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 pub(crate) fn caps() -> Caps {
     state().caps
 }

@@ -1,5 +1,5 @@
-//! Runtime-dispatched GF(2⁸)/GF(2¹⁶) kernels over byte and word slices —
-//! the workspace's one shared coding hot path.
+//! Runtime-dispatched GF(2⁸) kernels over byte slices — the workspace's
+//! one shared coding hot path.
 //!
 //! Every coded byte in the system flows through these operations:
 //!
@@ -11,23 +11,23 @@
 //!   `dst[i] = c · src[i]`, the per-hop transform multiply;
 //! * [`mul_xor_slice`] / [`xor_mul_slice`] — the fused per-hop
 //!   transform+pad passes;
-//! * [`dot_slice8`] / [`dot_slice16`] — varying × varying dot products,
-//!   the decode inner product;
+//! * [`dot_slice8`] — varying × varying dot product, the decode inner
+//!   product;
 //! * [`mul_add_fused`] — the multi-output recombine kernel: `d`
 //!   accumulators fed per pass over each source slice, instead of `d`
 //!   independent axpy sweeps;
 //! * [`xor_slice`] — `dst[i] ^= src[i]`, the `c = 1` fast path.
 //!
 //! Each entry point dispatches once through [`crate::simd::backend`]
-//! (runtime CPU detection, overridable via `SLICING_GF_FORCE`) to one of
-//! three implementations — see [`crate::simd`] for the backend taxonomy:
+//! (runtime CPU detection) to one of three implementations — see
+//! [`crate::simd`] for the backend taxonomy:
 //!
 //! * **scalar** — per-element log/exp arithmetic, the oracle;
 //! * **swar** — one 256-byte row of a 64 KiB compile-time multiplication
-//!   table per GF(2⁸) coefficient (L1-resident across the slice),
-//!   hoisted log/exp for GF(2¹⁶), `u64` SWAR XOR;
-//! * **simd** — split-nibble PSHUFB/TBL multiplies and carry-less-
-//!   multiply dot products (the arch kernels under `crate::simd`).
+//!   table per coefficient (L1-resident across the slice), `u64` SWAR
+//!   XOR;
+//! * **simd** — split-nibble PSHUFB multiplies and carry-less-multiply
+//!   dot products (the x86_64 kernels under `crate::simd`).
 //!
 //! The `*_on` variants take an explicit [`Backend`] so benches and the
 //! proptest oracles can pin and compare paths inside one process.
@@ -353,148 +353,10 @@ pub fn mul_add_fused_on(backend: Backend, outs: &mut [&mut [u8]], coeffs: &[u8],
     }
 }
 
-// ---- GF(2¹⁶) word-slice kernels -------------------------------------------
-//
-// The 16-bit field is too large for a full 2-D multiplication table
-// (it would be 8 GiB), so its SWAR kernels hoist what *can* be hoisted
-// out of the per-element loop: the `OnceLock` table fetch and the
-// discrete log of the fixed coefficient. The SIMD kernels build a
-// 128-byte split-nibble table set per call instead, which only pays for
-// itself above [`crate::simd::kernels::MIN_LEN16`] elements — shorter
-// slices stay on the SWAR path even when SIMD is active. `Gf65536`'s
-// `Field` bulk hooks delegate here, which carries every GF(2¹⁶)
-// consumer — `Matrix` (mul/rank/inverse/solve) and the `mds` generator
-// constructions/verification — onto the shared kernel layer, the same
-// way the byte kernels above carry the GF(2⁸) coders.
-
-use crate::field::Field as _;
-use crate::gf65536::{self, Gf65536};
-
-fn dot16_swar(a: &[Gf65536], b: &[Gf65536]) -> Gf65536 {
-    let t = gf65536::tables();
-    let mut acc: u16 = 0;
-    for (&x, &y) in a.iter().zip(b.iter()) {
-        if x.0 != 0 && y.0 != 0 {
-            acc ^= t.exp[t.log[x.0 as usize] as usize + t.log[y.0 as usize] as usize];
-        }
-    }
-    Gf65536(acc)
-}
-
-fn mul_add16_swar(acc: &mut [Gf65536], c: Gf65536, src: &[Gf65536]) {
-    let t = gf65536::tables();
-    let lc = t.log[c.0 as usize] as usize;
-    for (a, &s) in acc.iter_mut().zip(src.iter()) {
-        if s.0 != 0 {
-            a.0 ^= t.exp[lc + t.log[s.0 as usize] as usize];
-        }
-    }
-}
-
-fn mul16_swar(row: &mut [Gf65536], c: Gf65536) {
-    let t = gf65536::tables();
-    let lc = t.log[c.0 as usize] as usize;
-    for v in row.iter_mut() {
-        if v.0 != 0 {
-            v.0 = t.exp[lc + t.log[v.0 as usize] as usize];
-        }
-    }
-}
-
-/// Dot product `Σ a[i]·b[i]` over GF(2¹⁶) slices.
-///
-/// # Panics
-/// Panics if the slices differ in length.
-#[inline]
-pub fn dot_slice16(a: &[Gf65536], b: &[Gf65536]) -> Gf65536 {
-    dot_slice16_on(simd::backend(), a, b)
-}
-
-/// [`dot_slice16`] pinned to an explicit backend.
-pub fn dot_slice16_on(backend: Backend, a: &[Gf65536], b: &[Gf65536]) -> Gf65536 {
-    assert_eq!(a.len(), b.len(), "dot_slice16 length mismatch");
-    match backend {
-        Backend::Scalar => {
-            let mut acc = Gf65536(0);
-            for (&x, &y) in a.iter().zip(b.iter()) {
-                acc.0 ^= x.mul(y).0;
-            }
-            acc
-        }
-        Backend::Swar => dot16_swar(a, b),
-        Backend::Simd => simd::kernels::dot16(a, b).unwrap_or_else(|| dot16_swar(a, b)),
-    }
-}
-
-/// `acc[i] ^= c · src[i]` for all `i` — the GF(2¹⁶) axpy kernel
-/// (`c = 1` degenerates to pure XOR).
-///
-/// # Panics
-/// Panics if the slices differ in length.
-#[inline]
-pub fn mul_add_slice16(acc: &mut [Gf65536], c: Gf65536, src: &[Gf65536]) {
-    mul_add_slice16_on(simd::backend(), acc, c, src);
-}
-
-/// [`mul_add_slice16`] pinned to an explicit backend.
-pub fn mul_add_slice16_on(backend: Backend, acc: &mut [Gf65536], c: Gf65536, src: &[Gf65536]) {
-    assert_eq!(acc.len(), src.len(), "mul_add_slice16 length mismatch");
-    match backend {
-        Backend::Scalar => {
-            for (a, &s) in acc.iter_mut().zip(src.iter()) {
-                a.0 ^= c.mul(s).0;
-            }
-        }
-        Backend::Swar | Backend::Simd => match c.0 {
-            0 => {}
-            1 => {
-                for (a, &s) in acc.iter_mut().zip(src.iter()) {
-                    a.0 ^= s.0;
-                }
-            }
-            _ => {
-                if backend == Backend::Simd && acc.len() >= simd::kernels::MIN_LEN16 {
-                    simd::kernels::axpy16(acc, c, src);
-                } else {
-                    mul_add16_swar(acc, c, src);
-                }
-            }
-        },
-    }
-}
-
-/// `row[i] = c · row[i]` for all `i` — the GF(2¹⁶) in-place scale.
-#[inline]
-pub fn mul_slice16(row: &mut [Gf65536], c: Gf65536) {
-    mul_slice16_on(simd::backend(), row, c);
-}
-
-/// [`mul_slice16`] pinned to an explicit backend.
-pub fn mul_slice16_on(backend: Backend, row: &mut [Gf65536], c: Gf65536) {
-    match backend {
-        Backend::Scalar => {
-            for v in row.iter_mut() {
-                *v = c.mul(*v);
-            }
-        }
-        Backend::Swar | Backend::Simd => match c.0 {
-            0 => row.fill(Gf65536(0)),
-            1 => {}
-            _ => {
-                if backend == Backend::Simd && row.len() >= simd::kernels::MIN_LEN16 {
-                    simd::kernels::mul16(row, c);
-                } else {
-                    mul16_swar(row, c);
-                }
-            }
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Field, Gf256};
+    use crate::Gf256;
     use rand::rngs::StdRng;
     use rand::{Rng, RngCore, SeedableRng};
 
@@ -581,14 +443,14 @@ mod tests {
 
     #[test]
     fn mul_add_is_field_axpy() {
-        // The byte kernel agrees with the generic Field axpy.
+        // The byte kernel agrees with the element-slice axpy.
         let mut rng = StdRng::seed_from_u64(5);
         let src = random_bytes(&mut rng, 253);
         let mut dst = random_bytes(&mut rng, 253);
         let c: u8 = rng.gen();
         let mut field_acc: Vec<Gf256> = dst.iter().map(|&b| Gf256::new(b)).collect();
         let field_src: Vec<Gf256> = src.iter().map(|&b| Gf256::new(b)).collect();
-        crate::field::axpy(&mut field_acc, Gf256::new(c), &field_src);
+        crate::axpy(&mut field_acc, Gf256::new(c), &field_src);
         mul_add_slice(&mut dst, c, &src);
         assert_eq!(
             dst,
@@ -672,61 +534,5 @@ mod tests {
     fn length_mismatch_panics() {
         let mut dst = [0u8; 4];
         mul_add_slice(&mut dst, 3, &[0u8; 5]);
-    }
-
-    /// The GF(2¹⁶) kernels must agree with element-wise scalar `mul` for
-    /// every coefficient class (zero, one, generic), length and backend.
-    #[test]
-    fn wide_kernels_match_scalar_all_lengths() {
-        let mut rng = StdRng::seed_from_u64(7);
-        for backend in simd::available_backends() {
-            for len in LENS {
-                let a: Vec<Gf65536> = (0..len).map(|_| Gf65536::random(&mut rng)).collect();
-                let b: Vec<Gf65536> = (0..len).map(|_| Gf65536::random(&mut rng)).collect();
-                for c in [Gf65536(0), Gf65536(1), Gf65536(0xA7C3), Gf65536(0xFFFF)] {
-                    // dot (also exercises the zero-element skip).
-                    let mut want = Gf65536::zero();
-                    for (&x, &y) in a.iter().zip(b.iter()) {
-                        want = want.add(x.mul(y));
-                    }
-                    assert_eq!(dot_slice16_on(backend, &a, &b), want, "dot {backend} {len}");
-                    // axpy.
-                    let mut got = a.clone();
-                    mul_add_slice16_on(backend, &mut got, c, &b);
-                    let want: Vec<Gf65536> = a
-                        .iter()
-                        .zip(b.iter())
-                        .map(|(&x, &y)| x.add(c.mul(y)))
-                        .collect();
-                    assert_eq!(got, want, "axpy {backend} len {len} c {c:?}");
-                    // scale.
-                    let mut got = a.clone();
-                    mul_slice16_on(backend, &mut got, c);
-                    let want: Vec<Gf65536> = a.iter().map(|&x| x.mul(c)).collect();
-                    assert_eq!(got, want, "scale {backend} len {len} c {c:?}");
-                }
-            }
-        }
-    }
-
-    /// Sparse inputs (zeros interleaved) hit the skip branches.
-    #[test]
-    fn wide_kernels_handle_zero_elements() {
-        let a: Vec<Gf65536> = (0..16u16)
-            .map(|i| Gf65536(if i % 3 == 0 { 0 } else { i * 31 }))
-            .collect();
-        let mut acc = vec![Gf65536(0x1111); 16];
-        let before = acc.clone();
-        mul_add_slice16(&mut acc, Gf65536(0x20), &a);
-        for i in 0..16 {
-            assert_eq!(acc[i], before[i].add(Gf65536(0x20).mul(a[i])));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn wide_length_mismatch_panics() {
-        let mut dst = [Gf65536(0); 4];
-        mul_add_slice16(&mut dst, Gf65536(3), &[Gf65536(0); 5]);
     }
 }

@@ -1,28 +1,27 @@
 //! Finite-field arithmetic and linear algebra for information slicing.
 //!
-//! Everything the paper's coding layer needs lives here:
+//! Everything the paper's coding layer needs lives here. The paper
+//! (note 1, §4.3.2) works in `F_{p^q}`; every slice this system puts on
+//! the wire is coded in one field, GF(2⁸), where a byte of message data
+//! is exactly one element:
 //!
-//! * [`Field`] — the trait all coded arithmetic is generic over. The paper
-//!   (note 1, §4.3.2) works in `F_{p^q}`; we provide the two binary
-//!   extension fields it effectively uses:
-//!   [`Gf256`] (byte-oriented payload coding) and [`Gf65536`]
-//!   (word-oriented, matching the paper's example of splitting an IP
-//!   address into 16-bit low/high words, Eq. 1).
+//! * [`Gf256`] — the field element, with its arithmetic as inherent
+//!   methods, plus the element-slice kernels [`dot`], [`axpy`],
+//!   [`scale`] and [`sub_scaled`] the matrix code runs on.
 //! * [`Matrix`] — dense row-major matrices with Gauss–Jordan inversion,
 //!   rank, multiplication and linear solving. Used for the random
 //!   transform `A`, its inverse at the receiving node (`I = A⁻¹ I*`,
 //!   §4.3.5), and the redundant `d′ × d` transform of §4.4.
-//! * [`mds`] — constructions of `d′ × d` matrices in which *any* `d` rows
-//!   are linearly independent ("any d of d′ slices decode", §4.4(b)):
-//!   verified-random generation and provably-MDS randomized Cauchy
-//!   matrices.
+//! * [`mds`] — the randomized Cauchy construction of `d′ × d` matrices
+//!   in which *any* square submatrix is invertible ("any d of d′ slices
+//!   decode", §4.4(b)).
 //! * [`bulk`] — the byte-slice kernels (`mul_add_slice`, `mul_slice`,
 //!   `xor_slice`, `dot_slice8`, `mul_add_fused`) every packet payload in
 //!   the workspace is coded through.
 //! * [`simd`] — the runtime-dispatched backends behind those kernels:
-//!   SSSE3/AVX2 split-nibble and PCLMULQDQ kernels on x86_64, NEON on
-//!   aarch64, with the table-driven SWAR paths as the always-available
-//!   fallback and a pure-scalar oracle (`SLICING_GF_FORCE` pins one).
+//!   SSSE3/AVX2 split-nibble and PCLMULQDQ kernels on x86_64, the
+//!   table-driven SWAR paths on every other architecture, and a
+//!   pure-scalar oracle the tests compare both against.
 //!
 //! All randomness is taken through `rand::Rng` so protocol code and tests
 //! can seed deterministically.
@@ -35,15 +34,11 @@
 #![deny(unsafe_code)]
 
 pub mod bulk;
-pub mod field;
 pub mod gf256;
-pub mod gf65536;
 pub mod matrix;
 pub mod mds;
 pub mod simd;
 
-pub use field::{axpy, dot, scale, sub_scaled, Field};
-pub use gf256::Gf256;
-pub use gf65536::Gf65536;
+pub use gf256::{axpy, dot, scale, sub_scaled, Gf256};
 pub use matrix::Matrix;
 pub use simd::Backend;

@@ -1,20 +1,20 @@
-//! Dense matrices over a [`Field`], with the operations the slicing
+//! Dense matrices over [`Gf256`], with the operations the slicing
 //! protocol needs: multiplication, Gauss–Jordan inversion, rank, solving,
 //! and random-invertible generation.
 
 use rand::Rng;
 
-use crate::field::{axpy, dot, scale, sub_scaled, Field};
+use crate::gf256::{axpy, dot, scale, sub_scaled, Gf256};
 
-/// A dense row-major matrix over field `F`.
+/// A dense row-major matrix over GF(2⁸).
 #[derive(Clone, PartialEq, Eq, Hash)]
-pub struct Matrix<F: Field> {
+pub struct Matrix {
     rows: usize,
     cols: usize,
-    data: Vec<F>,
+    data: Vec<Gf256>,
 }
 
-impl<F: Field> std::fmt::Debug for Matrix<F> {
+impl std::fmt::Debug for Matrix {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(f, "Matrix {}x{} [", self.rows, self.cols)?;
         for r in 0..self.rows {
@@ -24,13 +24,13 @@ impl<F: Field> std::fmt::Debug for Matrix<F> {
     }
 }
 
-impl<F: Field> Matrix<F> {
+impl Matrix {
     /// All-zero matrix of the given shape.
     pub fn zero(rows: usize, cols: usize) -> Self {
         Matrix {
             rows,
             cols,
-            data: vec![F::zero(); rows * cols],
+            data: vec![Gf256::zero(); rows * cols],
         }
     }
 
@@ -38,7 +38,7 @@ impl<F: Field> Matrix<F> {
     pub fn identity(n: usize) -> Self {
         let mut m = Self::zero(n, n);
         for i in 0..n {
-            m.set(i, i, F::one());
+            m.set(i, i, Gf256::one());
         }
         m
     }
@@ -47,7 +47,7 @@ impl<F: Field> Matrix<F> {
     ///
     /// # Panics
     /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<F>) -> Self {
+    pub fn from_vec(rows: usize, cols: usize, data: Vec<Gf256>) -> Self {
         assert_eq!(data.len(), rows * cols, "shape mismatch");
         Matrix { rows, cols, data }
     }
@@ -56,7 +56,7 @@ impl<F: Field> Matrix<F> {
     ///
     /// # Panics
     /// Panics if rows are ragged or empty.
-    pub fn from_rows(rows: &[Vec<F>]) -> Self {
+    pub fn from_rows(rows: &[Vec<Gf256>]) -> Self {
         assert!(!rows.is_empty(), "no rows");
         let cols = rows[0].len();
         assert!(rows.iter().all(|r| r.len() == cols), "ragged rows");
@@ -69,7 +69,7 @@ impl<F: Field> Matrix<F> {
 
     /// Uniformly random matrix.
     pub fn random<R: Rng + ?Sized>(rows: usize, cols: usize, rng: &mut R) -> Self {
-        let data = (0..rows * cols).map(|_| F::random(rng)).collect();
+        let data = (0..rows * cols).map(|_| Gf256::random(rng)).collect();
         Matrix { rows, cols, data }
     }
 
@@ -101,31 +101,31 @@ impl<F: Field> Matrix<F> {
 
     /// Element accessor.
     #[inline]
-    pub fn get(&self, r: usize, c: usize) -> F {
+    pub fn get(&self, r: usize, c: usize) -> Gf256 {
         self.data[r * self.cols + c]
     }
 
     /// Element mutator.
     #[inline]
-    pub fn set(&mut self, r: usize, c: usize, v: F) {
+    pub fn set(&mut self, r: usize, c: usize, v: Gf256) {
         self.data[r * self.cols + c] = v;
     }
 
     /// Borrow row `r` as a slice.
     #[inline]
-    pub fn row(&self, r: usize) -> &[F] {
+    pub fn row(&self, r: usize) -> &[Gf256] {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Mutably borrow row `r`.
     #[inline]
-    pub fn row_mut(&mut self, r: usize) -> &mut [F] {
+    pub fn row_mut(&mut self, r: usize) -> &mut [Gf256] {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// The flat row-major data.
     #[inline]
-    pub fn as_slice(&self) -> &[F] {
+    pub fn as_slice(&self) -> &[Gf256] {
         &self.data
     }
 
@@ -133,7 +133,7 @@ impl<F: Field> Matrix<F> {
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch.
-    pub fn mul_mat(&self, rhs: &Matrix<F>) -> Matrix<F> {
+    pub fn mul_mat(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(self.cols, rhs.rows, "inner dimension mismatch");
         let mut out = Matrix::zero(self.rows, rhs.cols);
         for i in 0..self.rows {
@@ -154,13 +154,13 @@ impl<F: Field> Matrix<F> {
     ///
     /// # Panics
     /// Panics if `v.len() != ncols()`.
-    pub fn mul_vec(&self, v: &[F]) -> Vec<F> {
+    pub fn mul_vec(&self, v: &[Gf256]) -> Vec<Gf256> {
         assert_eq!(v.len(), self.cols, "vector length mismatch");
         (0..self.rows).map(|r| dot(self.row(r), v)).collect()
     }
 
     /// Transpose.
-    pub fn transpose(&self) -> Matrix<F> {
+    pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zero(self.cols, self.rows);
         for r in 0..self.rows {
             for c in 0..self.cols {
@@ -172,10 +172,9 @@ impl<F: Field> Matrix<F> {
 
     /// Row rank via Gaussian elimination (non-destructive).
     ///
-    /// Elimination runs row-at-a-time through the [`Field`] bulk kernels
-    /// ([`scale`], [`sub_scaled`]) — for GF(2⁸) that streams each row
-    /// update through one 64 KiB-table row instead of per-element
-    /// log/exp.
+    /// Elimination runs row-at-a-time through the slice kernels
+    /// ([`scale`], [`sub_scaled`]), which stream each row update through
+    /// one 64 KiB-table row instead of per-element log/exp.
     pub fn rank(&self) -> usize {
         let mut m = self.clone();
         let mut rank = 0;
@@ -208,15 +207,15 @@ impl<F: Field> Matrix<F> {
 
     /// Gauss–Jordan inverse; `None` if singular or non-square.
     ///
-    /// Pivot normalization and row elimination go through the [`Field`]
-    /// bulk kernels (see [`Matrix::rank`]).
-    pub fn inverse(&self) -> Option<Matrix<F>> {
+    /// Pivot normalization and row elimination go through the slice
+    /// kernels (see [`Matrix::rank`]).
+    pub fn inverse(&self) -> Option<Matrix> {
         if self.rows != self.cols {
             return None;
         }
         let n = self.rows;
         let mut a = self.clone();
-        let mut inv: Matrix<F> = Matrix::identity(n);
+        let mut inv: Matrix = Matrix::identity(n);
         for col in 0..n {
             let pivot = (col..n).find(|&r| !a.get(r, col).is_zero())?;
             a.swap_rows(col, pivot);
@@ -242,14 +241,14 @@ impl<F: Field> Matrix<F> {
     ///
     /// # Panics
     /// Panics if `b.len() != nrows()`.
-    pub fn solve(&self, b: &[F]) -> Option<Vec<F>> {
+    pub fn solve(&self, b: &[Gf256]) -> Option<Vec<Gf256>> {
         assert_eq!(b.len(), self.rows, "rhs length mismatch");
         if self.rows != self.cols {
             return None;
         }
         let n = self.rows;
         let mut a = self.clone();
-        let mut x: Vec<F> = b.to_vec();
+        let mut x: Vec<Gf256> = b.to_vec();
         for col in 0..n {
             let pivot = (col..n).find(|&r| !a.get(r, col).is_zero())?;
             a.swap_rows(col, pivot);
@@ -273,7 +272,7 @@ impl<F: Field> Matrix<F> {
     ///
     /// # Panics
     /// Panics if any index is out of bounds.
-    pub fn select_rows(&self, indices: &[usize]) -> Matrix<F> {
+    pub fn select_rows(&self, indices: &[usize]) -> Matrix {
         let mut out = Matrix::zero(indices.len(), self.cols);
         for (i, &r) in indices.iter().enumerate() {
             out.row_mut(i).copy_from_slice(self.row(r));
@@ -286,7 +285,7 @@ impl<F: Field> Matrix<F> {
     ///
     /// # Panics
     /// Panics if `a == b` or either index is out of bounds.
-    fn two_rows_mut(&mut self, a: usize, b: usize) -> (&mut [F], &mut [F]) {
+    fn two_rows_mut(&mut self, a: usize, b: usize) -> (&mut [Gf256], &mut [Gf256]) {
         assert_ne!(a, b, "two_rows_mut needs distinct rows");
         let cols = self.cols;
         let (lo, hi) = (a.min(b), a.max(b));
@@ -310,22 +309,18 @@ impl<F: Field> Matrix<F> {
         head[a * self.cols..(a + 1) * self.cols].swap_with_slice(&mut tail[..self.cols]);
     }
 
-    /// Serialize to bytes: each element in canonical encoding, row-major.
+    /// Serialize to bytes: one byte per element, row-major.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = vec![0u8; self.rows * self.cols * F::BYTES];
-        for (i, e) in self.data.iter().enumerate() {
-            e.write_bytes(&mut out[i * F::BYTES..(i + 1) * F::BYTES]);
-        }
-        out
+        self.data.iter().map(|e| e.value()).collect()
     }
 
     /// Deserialize from the encoding produced by [`Matrix::to_bytes`].
     ///
     /// # Panics
-    /// Panics if `bytes.len() != rows * cols * F::BYTES`.
+    /// Panics if `bytes.len() != rows * cols`.
     pub fn from_bytes(rows: usize, cols: usize, bytes: &[u8]) -> Self {
-        assert_eq!(bytes.len(), rows * cols * F::BYTES, "length mismatch");
-        let data = bytes.chunks_exact(F::BYTES).map(F::read_bytes).collect();
+        assert_eq!(bytes.len(), rows * cols, "length mismatch");
+        let data = bytes.iter().map(|&b| Gf256::new(b)).collect();
         Matrix { rows, cols, data }
     }
 }
@@ -333,7 +328,6 @@ impl<F: Field> Matrix<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Gf256;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -344,8 +338,8 @@ mod tests {
     #[test]
     fn identity_is_multiplicative_identity() {
         let mut rng = rng();
-        let a = Matrix::<Gf256>::random(4, 4, &mut rng);
-        let i = Matrix::<Gf256>::identity(4);
+        let a = Matrix::random(4, 4, &mut rng);
+        let i = Matrix::identity(4);
         assert_eq!(a.mul_mat(&i), a);
         assert_eq!(i.mul_mat(&a), a);
     }
@@ -354,7 +348,7 @@ mod tests {
     fn inverse_round_trip() {
         let mut rng = rng();
         for n in 1..=8 {
-            let a = Matrix::<Gf256>::random_invertible(n, &mut rng);
+            let a = Matrix::random_invertible(n, &mut rng);
             let inv = a.inverse().expect("invertible by construction");
             assert_eq!(a.mul_mat(&inv), Matrix::identity(n));
             assert_eq!(inv.mul_mat(&a), Matrix::identity(n));
@@ -363,7 +357,7 @@ mod tests {
 
     #[test]
     fn singular_matrix_has_no_inverse() {
-        let mut m = Matrix::<Gf256>::zero(3, 3);
+        let mut m = Matrix::zero(3, 3);
         m.set(0, 0, Gf256(1));
         m.set(1, 1, Gf256(1));
         // Row 2 duplicates row 0.
@@ -376,7 +370,7 @@ mod tests {
     #[test]
     fn solve_matches_inverse_multiplication() {
         let mut rng = rng();
-        let a = Matrix::<Gf256>::random_invertible(5, &mut rng);
+        let a = Matrix::random_invertible(5, &mut rng);
         let b: Vec<Gf256> = (0..5).map(|_| Gf256::random(&mut rng)).collect();
         let x = a.solve(&b).unwrap();
         assert_eq!(a.mul_vec(&x), b);
@@ -387,21 +381,21 @@ mod tests {
     #[test]
     fn rank_of_random_tall_matrix() {
         let mut rng = rng();
-        let m = Matrix::<Gf256>::random(8, 3, &mut rng);
+        let m = Matrix::random(8, 3, &mut rng);
         assert!(m.rank() <= 3);
     }
 
     #[test]
     fn transpose_involution() {
         let mut rng = rng();
-        let m = Matrix::<Gf256>::random(3, 7, &mut rng);
+        let m = Matrix::random(3, 7, &mut rng);
         assert_eq!(m.transpose().transpose(), m);
     }
 
     #[test]
     fn select_rows_preserves_content() {
         let mut rng = rng();
-        let m = Matrix::<Gf256>::random(6, 4, &mut rng);
+        let m = Matrix::random(6, 4, &mut rng);
         let s = m.select_rows(&[4, 1]);
         assert_eq!(s.row(0), m.row(4));
         assert_eq!(s.row(1), m.row(1));
@@ -410,15 +404,14 @@ mod tests {
     #[test]
     fn bytes_round_trip() {
         let mut rng = rng();
-        let m = Matrix::<Gf256>::random(3, 5, &mut rng);
+        let m = Matrix::random(3, 5, &mut rng);
         let b = m.to_bytes();
-        assert_eq!(Matrix::<Gf256>::from_bytes(3, 5, &b), m);
+        assert_eq!(Matrix::from_bytes(3, 5, &b), m);
     }
 
     #[test]
     fn swap_rows_works() {
-        let mut m =
-            Matrix::<Gf256>::from_rows(&[vec![Gf256(1), Gf256(2)], vec![Gf256(3), Gf256(4)]]);
+        let mut m = Matrix::from_rows(&[vec![Gf256(1), Gf256(2)], vec![Gf256(3), Gf256(4)]]);
         m.swap_rows(0, 1);
         assert_eq!(m.row(0), &[Gf256(3), Gf256(4)]);
         assert_eq!(m.row(1), &[Gf256(1), Gf256(2)]);

@@ -1,42 +1,20 @@
-//! Redundant generator matrices: `d′ × d` matrices in which **any** `d`
-//! rows are linearly independent.
+//! The redundant generator: `d′ × d` matrices in which **any** `d` rows
+//! are linearly independent.
 //!
 //! §4.4(b) of the paper requires exactly this property so that a node can
 //! decode its information from any `d` of the `d′` slices it was sent.
-//! Two constructions are provided:
-//!
-//! * [`random_verified`] — a uniformly random matrix, with all `C(d′, d)`
-//!   row-subsets checked for invertibility (retrying on the rare failure).
-//!   Matches the paper's "random matrix of rank d" language and the
-//!   randomized-network-coding result it cites (reference 18 there:
-//!   random matrices have the property w.h.p.).
-//! * [`randomized_cauchy`] — a Cauchy matrix with rows and columns scaled
-//!   by random nonzero constants. Every square submatrix of a Cauchy
-//!   matrix is invertible (Cauchy determinant formula), and nonzero
-//!   row/column scaling preserves that, so the property holds
-//!   *deterministically* — used when `C(d′, d)` is too large to verify.
+//! [`strong_generator`] builds a Cauchy matrix with rows and columns
+//! scaled by random nonzero constants. Every square submatrix of a Cauchy
+//! matrix is invertible (Cauchy determinant formula), and nonzero
+//! row/column scaling preserves that, so the property holds
+//! *deterministically* — no `C(d′, d)` verification pass is needed.
+//! [`all_row_subsets_invertible`] checks the property exhaustively and
+//! serves as the test oracle.
 
 use rand::Rng;
 
-use crate::field::Field;
+use crate::gf256::Gf256;
 use crate::matrix::Matrix;
-
-/// Upper bound on `C(d′, d)` beyond which [`generator`] switches from
-/// verified-random to randomized-Cauchy construction.
-const VERIFY_LIMIT: u64 = 4096;
-
-/// Number of `d`-subsets of `d′` rows, saturating.
-fn binomial(n: usize, k: usize) -> u64 {
-    let k = k.min(n - k);
-    let mut acc: u64 = 1;
-    for i in 0..k {
-        acc = acc.saturating_mul((n - i) as u64) / (i as u64 + 1);
-        if acc > u64::MAX / (n as u64 + 1) {
-            return u64::MAX;
-        }
-    }
-    acc
-}
 
 /// Visit every `k`-subset of `0..n` (lexicographic), aborting early if the
 /// callback returns `false`.
@@ -68,7 +46,7 @@ fn for_each_subset(n: usize, k: usize, mut f: impl FnMut(&[usize]) -> bool) -> b
 }
 
 /// Check that every `d × d` row-submatrix of `m` is invertible.
-pub fn all_row_subsets_invertible<F: Field>(m: &Matrix<F>) -> bool {
+pub fn all_row_subsets_invertible(m: &Matrix) -> bool {
     let (dp, d) = (m.nrows(), m.ncols());
     if dp < d {
         return false;
@@ -76,54 +54,38 @@ pub fn all_row_subsets_invertible<F: Field>(m: &Matrix<F>) -> bool {
     for_each_subset(dp, d, |rows| m.select_rows(rows).is_invertible())
 }
 
-/// Random `d′ × d` matrix with the any-`d`-rows-invertible property,
-/// verified exhaustively; retries until one is found.
+/// Produce a **super-regular** `d′ × d` generator: *every* square
+/// submatrix (any rows × any columns) is invertible, not just full
+/// `d`-row selections.
+///
+/// This is the generator `slicing-codec`'s `encode` uses, because
+/// pi-security (Lemma 5.1) needs the system seen by an attacker holding
+/// any `m < d` slices to remain underdetermined *for every choice of
+/// fixed message components* — which is exactly the statement that every
+/// `m × m` submatrix of the observed rows is invertible.
+///
+/// The construction is a randomized Cauchy matrix,
+/// `C[i][j] = r_i · s_j / (x_i + y_j)`, with distinct `x_i`, `y_j` drawn
+/// from disjoint ranges of the field and random nonzero `r_i`, `s_j`:
+/// the Cauchy determinant is a product of nonzero factors, and row/column
+/// scaling by nonzero constants preserves that.
 ///
 /// # Panics
-/// Panics if `d′ < d` or if `C(d′, d)` exceeds the verification budget
-/// (use [`randomized_cauchy`] or [`generator`] instead).
-pub fn random_verified<F: Field, R: Rng + ?Sized>(
-    d_prime: usize,
-    d: usize,
-    rng: &mut R,
-) -> Matrix<F> {
+/// Panics if `d < 1`, `d′ < d`, or `d′ + d > 256` (no disjoint
+/// evaluation points left in the field).
+pub fn strong_generator<R: Rng + ?Sized>(d_prime: usize, d: usize, rng: &mut R) -> Matrix {
+    assert!(d >= 1, "d must be >= 1");
     assert!(d_prime >= d, "d' must be >= d");
     assert!(
-        binomial(d_prime, d) <= VERIFY_LIMIT,
-        "too many subsets to verify; use randomized_cauchy"
-    );
-    loop {
-        let m = Matrix::random(d_prime, d, rng);
-        if all_row_subsets_invertible(&m) {
-            return m;
-        }
-    }
-}
-
-/// Randomized Cauchy `d′ × d` matrix: provably any-`d`-rows invertible.
-///
-/// `C[i][j] = r_i · s_j / (x_i + y_j)` with distinct `x_i`, `y_j` drawn
-/// from disjoint ranges of the field and random nonzero `r_i`, `s_j`.
-///
-/// # Panics
-/// Panics if `d′ + d` exceeds the field order (cannot pick disjoint
-/// evaluation points).
-pub fn randomized_cauchy<F: Field, R: Rng + ?Sized>(
-    d_prime: usize,
-    d: usize,
-    rng: &mut R,
-) -> Matrix<F> {
-    assert!(d_prime >= d, "d' must be >= d");
-    assert!(
-        (d_prime + d) as u64 <= F::ORDER,
+        d_prime + d <= 256,
         "field too small for Cauchy construction"
     );
-    let xs: Vec<F> = (0..d_prime as u64).map(F::from_u64).collect();
-    let ys: Vec<F> = (d_prime as u64..(d_prime + d) as u64)
-        .map(F::from_u64)
+    let xs: Vec<Gf256> = (0..d_prime).map(|i| Gf256::new(i as u8)).collect();
+    let ys: Vec<Gf256> = (d_prime..d_prime + d)
+        .map(|i| Gf256::new(i as u8))
         .collect();
-    let r: Vec<F> = (0..d_prime).map(|_| F::random_nonzero(rng)).collect();
-    let s: Vec<F> = (0..d).map(|_| F::random_nonzero(rng)).collect();
+    let r: Vec<Gf256> = (0..d_prime).map(|_| Gf256::random_nonzero(rng)).collect();
+    let s: Vec<Gf256> = (0..d).map(|_| Gf256::random_nonzero(rng)).collect();
     let mut m = Matrix::zero(d_prime, d);
     for i in 0..d_prime {
         for j in 0..d {
@@ -135,61 +97,14 @@ pub fn randomized_cauchy<F: Field, R: Rng + ?Sized>(
     m
 }
 
-/// Produce a `d′ × d` generator with the any-`d`-rows property, choosing
-/// the construction automatically:
-/// verified-random when cheap to check, randomized Cauchy otherwise.
-pub fn generator<F: Field, R: Rng + ?Sized>(d_prime: usize, d: usize, rng: &mut R) -> Matrix<F> {
-    assert!(d >= 1, "d must be >= 1");
-    assert!(d_prime >= d, "d' must be >= d");
-    if d_prime == d {
-        return Matrix::random_invertible(d, rng);
-    }
-    if binomial(d_prime, d) <= VERIFY_LIMIT {
-        random_verified(d_prime, d, rng)
-    } else {
-        randomized_cauchy(d_prime, d, rng)
-    }
-}
-
-/// Produce a **super-regular** `d′ × d` generator: *every* square
-/// submatrix (any rows × any columns) is invertible, not just full
-/// `d`-row selections.
-///
-/// This is the generator `slicing-codec`'s `encode` uses, because
-/// pi-security (Lemma 5.1) needs the system seen by an attacker holding
-/// any `m < d` slices to remain underdetermined *for every choice of
-/// fixed message components* — which is exactly the statement that every
-/// `m × m` submatrix of the observed rows is invertible. Randomized
-/// Cauchy matrices have this property deterministically (the Cauchy
-/// determinant is a product of nonzero factors, and row/column scaling
-/// by nonzero constants preserves it).
-pub fn strong_generator<F: Field, R: Rng + ?Sized>(
-    d_prime: usize,
-    d: usize,
-    rng: &mut R,
-) -> Matrix<F> {
-    assert!(d >= 1, "d must be >= 1");
-    assert!(d_prime >= d, "d' must be >= d");
-    randomized_cauchy(d_prime, d, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Gf256, Gf65536};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(42)
-    }
-
-    #[test]
-    fn binomial_values() {
-        assert_eq!(binomial(5, 2), 10);
-        assert_eq!(binomial(10, 3), 120);
-        assert_eq!(binomial(6, 6), 1);
-        assert_eq!(binomial(8, 1), 8);
     }
 
     #[test]
@@ -203,37 +118,10 @@ mod tests {
     }
 
     #[test]
-    fn random_verified_has_property() {
-        let mut rng = rng();
-        for (dp, d) in [(3, 2), (5, 3), (6, 2), (4, 4)] {
-            let m = random_verified::<Gf256, _>(dp, d, &mut rng);
-            assert!(all_row_subsets_invertible(&m));
-        }
-    }
-
-    #[test]
     fn cauchy_has_property() {
         let mut rng = rng();
         for (dp, d) in [(3, 2), (6, 3), (9, 4), (12, 2)] {
-            let m = randomized_cauchy::<Gf256, _>(dp, d, &mut rng);
-            assert!(all_row_subsets_invertible(&m), "failed at ({dp},{d})");
-        }
-    }
-
-    #[test]
-    fn cauchy_works_in_gf65536() {
-        let mut rng = rng();
-        let m = randomized_cauchy::<Gf65536, _>(8, 3, &mut rng);
-        assert!(all_row_subsets_invertible(&m));
-    }
-
-    #[test]
-    fn verified_random_works_in_gf65536() {
-        // Exercises the whole verification loop (rank via Gaussian
-        // elimination) through Gf65536's kernel-backed bulk hooks.
-        let mut rng = rng();
-        for (dp, d) in [(3usize, 2usize), (5, 3), (4, 4)] {
-            let m = random_verified::<Gf65536, _>(dp, d, &mut rng);
+            let m = strong_generator(dp, d, &mut rng);
             assert!(all_row_subsets_invertible(&m), "failed at ({dp},{d})");
         }
     }
@@ -241,15 +129,15 @@ mod tests {
     #[test]
     fn generator_square_case_is_invertible() {
         let mut rng = rng();
-        let m = generator::<Gf256, _>(4, 4, &mut rng);
+        let m = strong_generator(4, 4, &mut rng);
         assert!(m.is_invertible());
     }
 
     #[test]
     fn generator_large_dims_uses_cauchy() {
         let mut rng = rng();
-        // C(40, 20) is astronomically large; must not try to verify.
-        let m = generator::<Gf256, _>(40, 20, &mut rng);
+        // C(40, 20) is astronomically large; nothing may try to verify it.
+        let m = strong_generator(40, 20, &mut rng);
         assert_eq!(m.nrows(), 40);
         assert_eq!(m.ncols(), 20);
         // Spot-check a handful of random subsets.
@@ -266,7 +154,7 @@ mod tests {
     #[should_panic(expected = "d' must be >= d")]
     fn rejects_dprime_below_d() {
         let mut rng = rng();
-        let _ = generator::<Gf256, _>(2, 3, &mut rng);
+        let _ = strong_generator(2, 3, &mut rng);
     }
 
     /// Super-regularity: every square submatrix (rows × columns) of the
@@ -275,7 +163,7 @@ mod tests {
     fn strong_generator_every_square_submatrix_invertible() {
         let mut rng = rng();
         for (dp, d) in [(3usize, 3usize), (4, 3), (5, 2), (4, 4)] {
-            let g = strong_generator::<Gf256, _>(dp, d, &mut rng);
+            let g = strong_generator(dp, d, &mut rng);
             for k in 1..=d {
                 let ok = for_each_subset(dp, k, |rows| {
                     for_each_subset(d, k, |cols| {

@@ -1,84 +1,64 @@
-//! Runtime-dispatched SIMD kernels for the GF(2⁸)/GF(2¹⁶) bulk
-//! operations.
+//! Runtime-dispatched SIMD kernels for the GF(2⁸) bulk operations.
 //!
 //! Every bulk entry point in [`crate::bulk`] routes through one of three
-//! [`Backend`]s, chosen **once** at first use and cached for the life of
-//! the process:
+//! [`Backend`]s, chosen **once** at first use by CPU detection and cached
+//! for the life of the process:
 //!
 //! * [`Backend::Scalar`] — per-element log/exp arithmetic, the reference
-//!   implementation. Slowest; exists as the oracle every other path is
-//!   tested against, and as the `SLICING_GF_FORCE=scalar` escape hatch.
+//!   implementation. Slowest; never selected by detection, it exists as
+//!   the oracle every other path is tested against.
 //! * [`Backend::Swar`] — the table-driven paths (one L1-resident 256-byte
-//!   multiplication row per GF(2⁸) coefficient, hoisted log/exp for
-//!   GF(2¹⁶), `u64` SWAR XOR). Always available on every architecture;
-//!   this is the fallback when no SIMD ISA is detected.
+//!   multiplication row per coefficient, `u64` SWAR XOR). Always
+//!   available on every architecture; this is the fallback when no SIMD
+//!   ISA is detected.
 //! * [`Backend::Simd`] — `std::arch` kernels using the split-nibble
-//!   multiply (PSHUFB on x86_64, TBL on aarch64; see
-//!   [`crate::bulk`] for the per-operation details). Selected when the
-//!   host supports a usable ISA.
+//!   multiply (PSHUFB; see [`crate::bulk`] for the per-operation
+//!   details). Selected when the host supports a usable ISA.
 //!
 //! ## Supported ISAs
 //!
 //! | arch | table kernels (axpy/scale/transform/fused) | dot kernels |
 //! |------|--------------------------------------------|-------------|
 //! | x86_64 | SSSE3 (16 B/step) or AVX2 (32–64 B/step) | PCLMULQDQ + SSE4.1 |
-//! | aarch64 | NEON `TBL` (always present) | NEON `PMULL`-free `vmull_p8` |
 //! | other | — (falls back to [`Backend::Swar`]) | — |
 //!
-//! Feature detection is dynamic (`is_x86_feature_detected!`), so one
-//! binary runs everywhere and uses the best kernel the host offers; on
-//! x86_64 a host with SSSE3 but without PCLMULQDQ gets SIMD table
-//! kernels and SWAR dot products.
-//!
-//! ## Forcing a backend
-//!
-//! The `SLICING_GF_FORCE` environment variable, read once at dispatch
-//! initialization, pins the backend for the whole process:
-//! `scalar`, `swar`, or `simd`. Unknown values — and `simd` on a host
-//! without a usable ISA — **fail closed** to the always-available
-//! [`Backend::Swar`] fallback. CI runs the full test suite under
-//! `SLICING_GF_FORCE=scalar` so the oracle path stays green, and benches
-//! use the explicit `*_on` entry points in [`crate::bulk`] to measure
-//! backends side by side in one process.
+//! Kernels exist only for an ISA this workspace's CI compiles and tests;
+//! every other architecture runs the SWAR path until a kernel lands
+//! together with a CI job for it. Feature detection is dynamic
+//! (`is_x86_feature_detected!`), so one binary runs everywhere and uses
+//! the best kernel the host offers; a host with SSSE3 but without
+//! PCLMULQDQ gets SIMD table kernels and SWAR dot products. Tests and
+//! benches pin a backend per call through the `*_on` entry points in
+//! [`crate::bulk`] and sweep [`available_backends`], so every backend is
+//! cross-checked against the scalar oracle in one process.
 
+#[cfg(target_arch = "x86_64")]
 pub(crate) mod tables;
 
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 pub(crate) mod x86;
 
-#[cfg(target_arch = "aarch64")]
-#[allow(unsafe_code)]
-pub(crate) mod neon;
-
-/// The cfg-selected arch kernels `bulk` dispatches into when the active
-/// backend is [`Backend::Simd`]. On architectures with no kernels this
-/// re-exports SWAR delegates that are never selected at runtime (the
-/// detector never returns `Simd` there) but keep the call sites
-/// compiling.
+/// The cfg-selected kernels `bulk` dispatches into when the active
+/// backend is [`Backend::Simd`]: the x86_64 kernels, or SWAR delegates
+/// on every other architecture, where they are never selected at
+/// runtime (the detector never returns `Simd` there) but keep the call
+/// sites compiling.
 pub(crate) mod kernels {
     #[cfg(target_arch = "x86_64")]
     pub(crate) use super::x86::*;
 
-    #[cfg(target_arch = "aarch64")]
-    pub(crate) use super::neon::*;
-
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     pub(crate) use super::portable_fallback::*;
 }
 
-#[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+#[cfg(not(target_arch = "x86_64"))]
 mod portable_fallback {
     //! SWAR delegates for architectures without SIMD kernels. Dead at
     //! runtime (detection never selects `Simd` here); present so the
     //! dispatch arms typecheck on every target.
     use crate::bulk;
     use crate::simd::Backend;
-    use crate::Gf65536;
-
-    /// Mirrors the arch modules' GF(2¹⁶) length threshold; unused at
-    /// runtime here but referenced by the dispatch arms.
-    pub(crate) const MIN_LEN16: usize = 64;
 
     pub(crate) fn axpy8(dst: &mut [u8], c: u8, src: &[u8]) {
         bulk::mul_add_slice_on(Backend::Swar, dst, c, src);
@@ -102,16 +82,6 @@ mod portable_fallback {
     pub(crate) fn fused8(outs: &mut [&mut [u8]], coeffs: &[u8], srcs: &[&[u8]]) {
         bulk::mul_add_fused_on(Backend::Swar, outs, coeffs, srcs);
     }
-    pub(crate) fn axpy16(acc: &mut [Gf65536], c: Gf65536, src: &[Gf65536]) {
-        bulk::mul_add_slice16_on(Backend::Swar, acc, c, src);
-    }
-    pub(crate) fn mul16(row: &mut [Gf65536], c: Gf65536) {
-        bulk::mul_slice16_on(Backend::Swar, row, c);
-    }
-    pub(crate) fn dot16(a: &[Gf65536], b: &[Gf65536]) -> Option<Gf65536> {
-        let _ = (a, b);
-        None
-    }
 }
 
 use std::sync::OnceLock;
@@ -127,7 +97,7 @@ pub enum Backend {
     Scalar,
     /// Table-driven + SWAR paths — the always-available fallback.
     Swar,
-    /// Runtime-detected `std::arch` kernels (SSSE3/AVX2/NEON).
+    /// Runtime-detected `std::arch` kernels (SSSE3/AVX2, PCLMULQDQ).
     Simd,
 }
 
@@ -144,9 +114,11 @@ impl std::fmt::Display for Backend {
 /// What the `Simd` backend can use on this host.
 #[derive(Copy, Clone, Debug)]
 pub(crate) struct Caps {
-    /// 256-bit table kernels (AVX2) rather than 128-bit (SSSE3/NEON).
+    /// 256-bit table kernels (AVX2) rather than 128-bit (SSSE3).
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
     pub(crate) wide: bool,
-    /// Carry-less-multiply dot kernels (PCLMULQDQ+SSE4.1 / `vmull_p8`).
+    /// Carry-less-multiply dot kernels (PCLMULQDQ + SSE4.1).
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
     pub(crate) clmul: bool,
 }
 
@@ -180,20 +152,7 @@ fn detect() -> (Backend, Caps, &'static str) {
             "none",
         )
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        // NEON (including TBL and the polynomial vmull_p8) is baseline
-        // on aarch64 — no detection needed.
-        (
-            Backend::Simd,
-            Caps {
-                wide: false,
-                clmul: true,
-            },
-            "neon",
-        )
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
         (
             Backend::Swar,
@@ -209,46 +168,27 @@ fn detect() -> (Backend, Caps, &'static str) {
 fn state() -> &'static State {
     static STATE: OnceLock<State> = OnceLock::new();
     STATE.get_or_init(|| {
-        let (detected, caps, isa) = detect();
-        let backend = match std::env::var("SLICING_GF_FORCE") {
-            Ok(v) => match v.as_str() {
-                "scalar" => Backend::Scalar,
-                "swar" => Backend::Swar,
-                // `simd` honors detection: forcing it on a host without a
-                // usable ISA fails closed to the SWAR fallback, as does
-                // any unrecognized value.
-                "simd" => detected,
-                _ => Backend::Swar,
-            },
-            Err(_) => detected,
-        };
-        let isa = if backend == Backend::Simd {
-            isa
-        } else {
-            "none"
-        };
+        let (backend, caps, isa) = detect();
         State { backend, caps, isa }
     })
 }
 
-/// The process-wide active backend, selected once at first use.
-///
-/// Detection order: the `SLICING_GF_FORCE` environment variable
-/// (`scalar` / `swar` / `simd`; unknown values fail closed to
-/// [`Backend::Swar`]), then runtime CPU feature detection.
+/// The process-wide active backend, selected once at first use by
+/// runtime CPU feature detection.
 #[inline]
 pub fn backend() -> Backend {
     state().backend
 }
 
 /// Human-readable name of the instruction set the active [`Backend::Simd`]
-/// kernels use (`"avx2+clmul"`, `"ssse3"`, `"neon"`, …), or `"none"`
+/// kernels use (`"avx2+clmul"`, `"ssse3"`, …), or `"none"`
 /// when the active backend is not SIMD.
 pub fn isa() -> &'static str {
     state().isa
 }
 
 #[inline]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 pub(crate) fn caps() -> Caps {
     state().caps
 }
@@ -278,7 +218,7 @@ mod tests {
 
     #[test]
     fn active_backend_is_available() {
-        assert!(available_backends().contains(&backend()) || backend() == Backend::Swar);
+        assert!(available_backends().contains(&backend()));
     }
 
     #[test]

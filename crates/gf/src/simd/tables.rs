@@ -1,20 +1,15 @@
-//! Split-nibble multiplication tables and polynomial reduction helpers
-//! shared by every SIMD backend.
+//! Split-nibble multiplication tables and the polynomial reduction the
+//! SIMD kernels share.
 //!
-//! The PSHUFB/TBL trick (ISA-L / Reed–Solomon style) computes `c · x`
-//! for 16/32 bytes at once by decomposing `x` into nibbles: because
+//! The PSHUFB trick (ISA-L / Reed–Solomon style) computes `c · x` for
+//! 16/32 bytes at once by decomposing `x` into nibbles: because
 //! multiplication by a fixed `c` is linear over GF(2),
 //! `c · x = c · x_lo ⊕ c · (x_hi << 4)`, and each term is a lookup into
 //! a 16-entry table — exactly the shape a byte-shuffle instruction
-//! (`PSHUFB` on x86, `TBL` on aarch64) evaluates 16 lanes at a time.
-//!
-//! * GF(2⁸): both 16-entry tables for every coefficient are baked at
-//!   compile time into [`NIB8`] — 32 bytes per coefficient, 8 KiB total,
-//!   so a kernel invocation is two table loads with no setup multiply.
-//! * GF(2¹⁶): a full per-coefficient cache would cost 16 MiB, so
-//!   [`tab16`] builds the 128-byte table set (4 input nibbles × 2 output
-//!   byte planes) per call — 64 scalar multiplies, amortized over the
-//!   whole slice and cheap next to the per-element work it replaces.
+//! evaluates 16 lanes at a time. Both 16-entry tables for every
+//! coefficient are baked at compile time into [`NIB8`] — 32 bytes per
+//! coefficient, 8 KiB total, so a kernel invocation is two table loads
+//! with no setup multiply.
 
 use crate::gf256::{build_exp, build_log};
 
@@ -43,26 +38,6 @@ const fn build_nib8() -> [[u8; 32]; 256] {
     t
 }
 
-/// Build the split-nibble table set for a GF(2¹⁶) coefficient.
-///
-/// Layout: four 16-byte tables for the *low* output byte
-/// (`out[k*16 + n] = lo(c · (n << 4k))`, `k ∈ 0..4`) followed by the
-/// same four tables for the *high* output byte (offset 64). A product
-/// is the XOR of four lookups per output byte plane:
-/// `c · w = ⊕ₖ c · (nibbleₖ(w) << 4k)`.
-pub(crate) fn tab16(c: crate::Gf65536) -> [u8; 128] {
-    use crate::Field;
-    let mut out = [0u8; 128];
-    for k in 0..4u16 {
-        for n in 0..16u16 {
-            let p = c.mul(crate::Gf65536(n << (4 * k))).0;
-            out[(k * 16 + n) as usize] = (p & 0xFF) as u8;
-            out[(64 + k * 16 + n) as usize] = (p >> 8) as u8;
-        }
-    }
-    out
-}
-
 /// Reduce an unreduced carry-less product/accumulator of degree ≤ 14
 /// modulo the GF(2⁸) polynomial `x⁸ + x⁴ + x³ + x² + 1` (0x11D).
 ///
@@ -78,21 +53,10 @@ pub(crate) fn reduce15(mut v: u32) -> u8 {
     v as u8
 }
 
-/// Reduce an unreduced carry-less accumulator of degree ≤ 30 modulo the
-/// GF(2¹⁶) polynomial `x¹⁶ + x¹² + x³ + x + 1` (0x1100B).
-pub(crate) fn reduce31(mut v: u64) -> u16 {
-    for bit in (16..32).rev() {
-        if v & (1 << bit) != 0 {
-            v ^= (crate::gf65536::POLY as u64) << (bit - 16);
-        }
-    }
-    v as u16
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Field, Gf256, Gf65536};
+    use crate::Gf256;
 
     #[test]
     fn nib8_decomposition_is_exact() {
@@ -106,27 +70,9 @@ mod tests {
     }
 
     #[test]
-    fn tab16_decomposition_is_exact() {
-        for c in [0u16, 1, 2, 0xA7C3, 0xFFFF, 0x1234] {
-            let t = tab16(Gf65536(c));
-            for w in (0..=65535u16).step_by(257).chain([1, 0xFFFF, 0x8000]) {
-                let mut lo = 0u8;
-                let mut hi = 0u8;
-                for k in 0..4 {
-                    let n = ((w >> (4 * k)) & 0xF) as usize;
-                    lo ^= t[k * 16 + n];
-                    hi ^= t[64 + k * 16 + n];
-                }
-                let want = Gf65536(c).mul(Gf65536(w)).0;
-                assert_eq!(u16::from_le_bytes([lo, hi]), want, "c={c:#x} w={w:#x}");
-            }
-        }
-    }
-
-    #[test]
     fn reductions_match_field_multiplication() {
-        // An unreduced schoolbook product reduced by reduce15/reduce31
-        // must equal the table multiply.
+        // An unreduced schoolbook product reduced by reduce15 must equal
+        // the table multiply.
         for (a, b) in [(0x53u8, 0xCAu8), (0xFF, 0xFF), (2, 0x80), (1, 1)] {
             let mut un = 0u32;
             for i in 0..8 {
@@ -135,15 +81,6 @@ mod tests {
                 }
             }
             assert_eq!(reduce15(un), Gf256::mul_bytes(a, b));
-        }
-        for (a, b) in [(0xA7C3u16, 0x1234u16), (0xFFFF, 0xFFFF), (2, 0x8000)] {
-            let mut un = 0u64;
-            for i in 0..16 {
-                if b & (1 << i) != 0 {
-                    un ^= (a as u64) << i;
-                }
-            }
-            assert_eq!(reduce31(un), Gf65536(a).mul(Gf65536(b)).0);
         }
     }
 }

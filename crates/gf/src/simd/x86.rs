@@ -6,11 +6,10 @@
 //! available engine from [`crate::simd::caps`] (detected once at
 //! startup) and finish odd-length tails with the scalar table row, so
 //! callers never see alignment or length restrictions. The `unsafe` here
-//! is confined to `std::arch` intrinsics plus byte reinterpretation of
-//! `#[repr(transparent)]` [`Gf65536`] slices, all on the little-endian
-//! x86_64 memory model the intrinsics assume.
+//! is confined to `std::arch` intrinsics on the little-endian x86_64
+//! memory model they assume.
 //!
-//! Three instruction families do the work:
+//! Two instruction families do the work:
 //!
 //! * `PSHUFB` (`_mm_shuffle_epi8` / `_mm256_shuffle_epi8`) evaluates the
 //!   16-entry split-nibble tables of [`super::tables`] across 16 or 32
@@ -21,15 +20,10 @@
 //!   products land in non-overlapping bit slots, the unreduced carry-less
 //!   products are XOR-folded in-register, and one polynomial reduction
 //!   at the end maps back into the field.
-//! * For GF(2¹⁶), data arrives interleaved (`u16` little-endian); the
-//!   engines deinterleave lo/hi byte planes in-register with a shuffle +
-//!   64-bit unpack, apply four nibble tables per output plane, and
-//!   re-interleave before the store.
 
 use std::arch::x86_64::*;
 
 use crate::bulk;
-use crate::gf65536::{self, Gf65536};
 use crate::simd::tables::{self, NIB8};
 
 // ---- GF(2⁸) slice transforms ----------------------------------------------
@@ -487,274 +481,4 @@ pub(crate) fn dot8(a: &[u8], b: &[u8]) -> Option<u8> {
         acc ^= bulk::mul_row(x)[y as usize];
     }
     Some(acc)
-}
-
-// ---- GF(2¹⁶) kernels ------------------------------------------------------
-
-/// Minimum element count for the GF(2¹⁶) table kernels: below this the
-/// 64 scalar multiplies building the per-coefficient table set cost more
-/// than they save, and dispatch stays on the SWAR path.
-pub(crate) const MIN_LEN16: usize = 64;
-
-const OP16_AXPY: u8 = 0;
-const OP16_MUL: u8 = 1;
-
-/// AVX2 GF(2¹⁶) engine over 32-element (64-byte) blocks; `OP16_AXPY`
-/// computes `acc ^= m(src)`, `OP16_MUL` computes `dst = m(dst)`.
-/// Returns elements processed.
-///
-/// # Safety
-///
-/// `dst` and `src` must each be valid for `2 · len_elems` bytes (`dst`
-/// for writes; equal pointers are fine, partial overlap is not); the
-/// caller must have verified AVX2 support.
-#[target_feature(enable = "avx2")]
-unsafe fn transform16_avx2<const OP: u8>(
-    dst: *mut u8,
-    src: *const u8,
-    len_elems: usize,
-    tab: &[u8; 128],
-) -> usize {
-    // SAFETY: per the fn contract, byte offsets stay `< 2 · len_elems`,
-    // loads/stores are unaligned variants, and `tab` covers 128 bytes
-    // so `tab + o` is in bounds for every `o ≤ 112` used below.
-    unsafe {
-        let bt = |o: usize| {
-            _mm256_broadcastsi128_si256(_mm_loadu_si128(tab.as_ptr().add(o) as *const __m128i))
-        };
-        let tl0 = bt(0);
-        let tl1 = bt(16);
-        let tl2 = bt(32);
-        let tl3 = bt(48);
-        let th0 = bt(64);
-        let th1 = bt(80);
-        let th2 = bt(96);
-        let th3 = bt(112);
-        let nib = _mm256_set1_epi8(0x0f);
-        // Deinterleave u16 lanes into [lo bytes ×8, hi bytes ×8] per lane…
-        let sep = _mm256_setr_epi8(
-            0, 2, 4, 6, 8, 10, 12, 14, 1, 3, 5, 7, 9, 11, 13, 15, 0, 2, 4, 6, 8, 10, 12, 14, 1, 3,
-            5, 7, 9, 11, 13, 15,
-        );
-        // …and back.
-        let ilv = _mm256_setr_epi8(
-            0, 8, 1, 9, 2, 10, 3, 11, 4, 12, 5, 13, 6, 14, 7, 15, 0, 8, 1, 9, 2, 10, 3, 11, 4, 12,
-            5, 13, 6, 14, 7, 15,
-        );
-        let n = len_elems / 32 * 32;
-        let mut i = 0usize; // byte index
-        while i < n * 2 {
-            let va = _mm256_loadu_si256(src.add(i) as *const __m256i);
-            let vb = _mm256_loadu_si256(src.add(i + 32) as *const __m256i);
-            let sa = _mm256_shuffle_epi8(va, sep);
-            let sb = _mm256_shuffle_epi8(vb, sep);
-            let vlo = _mm256_unpacklo_epi64(sa, sb);
-            let vhi = _mm256_unpackhi_epi64(sa, sb);
-            let n0 = _mm256_and_si256(vlo, nib);
-            let n1 = _mm256_and_si256(_mm256_srli_epi16(vlo, 4), nib);
-            let n2 = _mm256_and_si256(vhi, nib);
-            let n3 = _mm256_and_si256(_mm256_srli_epi16(vhi, 4), nib);
-            let rlo = _mm256_xor_si256(
-                _mm256_xor_si256(_mm256_shuffle_epi8(tl0, n0), _mm256_shuffle_epi8(tl1, n1)),
-                _mm256_xor_si256(_mm256_shuffle_epi8(tl2, n2), _mm256_shuffle_epi8(tl3, n3)),
-            );
-            let rhi = _mm256_xor_si256(
-                _mm256_xor_si256(_mm256_shuffle_epi8(th0, n0), _mm256_shuffle_epi8(th1, n1)),
-                _mm256_xor_si256(_mm256_shuffle_epi8(th2, n2), _mm256_shuffle_epi8(th3, n3)),
-            );
-            let pa = _mm256_unpacklo_epi64(rlo, rhi);
-            let pb = _mm256_unpackhi_epi64(rlo, rhi);
-            let ra = _mm256_shuffle_epi8(pa, ilv);
-            let rb = _mm256_shuffle_epi8(pb, ilv);
-            let (ra, rb) = if OP == OP16_AXPY {
-                let da = _mm256_loadu_si256(dst.add(i) as *const __m256i);
-                let db = _mm256_loadu_si256(dst.add(i + 32) as *const __m256i);
-                (_mm256_xor_si256(da, ra), _mm256_xor_si256(db, rb))
-            } else {
-                (ra, rb)
-            };
-            _mm256_storeu_si256(dst.add(i) as *mut __m256i, ra);
-            _mm256_storeu_si256(dst.add(i + 32) as *mut __m256i, rb);
-            i += 64;
-        }
-        n
-    }
-}
-
-/// SSSE3 GF(2¹⁶) engine over 16-element (32-byte) blocks.
-///
-/// # Safety
-///
-/// Same contract as [`transform16_avx2`], with SSSE3 as the required
-/// feature.
-#[target_feature(enable = "ssse3")]
-unsafe fn transform16_ssse3<const OP: u8>(
-    dst: *mut u8,
-    src: *const u8,
-    len_elems: usize,
-    tab: &[u8; 128],
-) -> usize {
-    // SAFETY: as in `transform16_avx2`.
-    unsafe {
-        let lt = |o: usize| _mm_loadu_si128(tab.as_ptr().add(o) as *const __m128i);
-        let tl0 = lt(0);
-        let tl1 = lt(16);
-        let tl2 = lt(32);
-        let tl3 = lt(48);
-        let th0 = lt(64);
-        let th1 = lt(80);
-        let th2 = lt(96);
-        let th3 = lt(112);
-        let nib = _mm_set1_epi8(0x0f);
-        let sep = _mm_setr_epi8(0, 2, 4, 6, 8, 10, 12, 14, 1, 3, 5, 7, 9, 11, 13, 15);
-        let ilv = _mm_setr_epi8(0, 8, 1, 9, 2, 10, 3, 11, 4, 12, 5, 13, 6, 14, 7, 15);
-        let n = len_elems / 16 * 16;
-        let mut i = 0usize;
-        while i < n * 2 {
-            let va = _mm_loadu_si128(src.add(i) as *const __m128i);
-            let vb = _mm_loadu_si128(src.add(i + 16) as *const __m128i);
-            let sa = _mm_shuffle_epi8(va, sep);
-            let sb = _mm_shuffle_epi8(vb, sep);
-            let vlo = _mm_unpacklo_epi64(sa, sb);
-            let vhi = _mm_unpackhi_epi64(sa, sb);
-            let n0 = _mm_and_si128(vlo, nib);
-            let n1 = _mm_and_si128(_mm_srli_epi16(vlo, 4), nib);
-            let n2 = _mm_and_si128(vhi, nib);
-            let n3 = _mm_and_si128(_mm_srli_epi16(vhi, 4), nib);
-            let rlo = _mm_xor_si128(
-                _mm_xor_si128(_mm_shuffle_epi8(tl0, n0), _mm_shuffle_epi8(tl1, n1)),
-                _mm_xor_si128(_mm_shuffle_epi8(tl2, n2), _mm_shuffle_epi8(tl3, n3)),
-            );
-            let rhi = _mm_xor_si128(
-                _mm_xor_si128(_mm_shuffle_epi8(th0, n0), _mm_shuffle_epi8(th1, n1)),
-                _mm_xor_si128(_mm_shuffle_epi8(th2, n2), _mm_shuffle_epi8(th3, n3)),
-            );
-            let pa = _mm_unpacklo_epi64(rlo, rhi);
-            let pb = _mm_unpackhi_epi64(rlo, rhi);
-            let ra = _mm_shuffle_epi8(pa, ilv);
-            let rb = _mm_shuffle_epi8(pb, ilv);
-            let (ra, rb) = if OP == OP16_AXPY {
-                let da = _mm_loadu_si128(dst.add(i) as *const __m128i);
-                let db = _mm_loadu_si128(dst.add(i + 16) as *const __m128i);
-                (_mm_xor_si128(da, ra), _mm_xor_si128(db, rb))
-            } else {
-                (ra, rb)
-            };
-            _mm_storeu_si128(dst.add(i) as *mut __m128i, ra);
-            _mm_storeu_si128(dst.add(i + 16) as *mut __m128i, rb);
-            i += 32;
-        }
-        n
-    }
-}
-
-#[inline]
-fn run_transform16<const OP: u8>(
-    dst: *mut u8,
-    src: *const u8,
-    len_elems: usize,
-    c: Gf65536,
-) -> usize {
-    let tab = tables::tab16(c);
-    // SAFETY: dispatch guarantees the target features; pointers cover
-    // `2 · len_elems` valid bytes (from `#[repr(transparent)]` slices).
-    unsafe {
-        if crate::simd::caps().wide {
-            transform16_avx2::<OP>(dst, src, len_elems, &tab)
-        } else {
-            transform16_ssse3::<OP>(dst, src, len_elems, &tab)
-        }
-    }
-}
-
-/// `acc[i] ^= c · src[i]` over GF(2¹⁶) (generic `c`).
-pub(crate) fn axpy16(acc: &mut [Gf65536], c: Gf65536, src: &[Gf65536]) {
-    debug_assert_eq!(acc.len(), src.len());
-    let n = run_transform16::<OP16_AXPY>(
-        acc.as_mut_ptr() as *mut u8,
-        src.as_ptr() as *const u8,
-        acc.len(),
-        c,
-    );
-    let t = gf65536::tables();
-    let lc = t.log[c.0 as usize] as usize;
-    for (a, &s) in acc[n..].iter_mut().zip(&src[n..]) {
-        if s.0 != 0 {
-            a.0 ^= t.exp[lc + t.log[s.0 as usize] as usize];
-        }
-    }
-}
-
-/// `row[i] = c · row[i]` over GF(2¹⁶) (generic `c`, in place).
-pub(crate) fn mul16(row: &mut [Gf65536], c: Gf65536) {
-    let n = run_transform16::<OP16_MUL>(
-        row.as_mut_ptr() as *mut u8,
-        row.as_ptr() as *const u8,
-        row.len(),
-        c,
-    );
-    let t = gf65536::tables();
-    let lc = t.log[c.0 as usize] as usize;
-    for v in row[n..].iter_mut() {
-        if v.0 != 0 {
-            v.0 = t.exp[lc + t.log[v.0 as usize] as usize];
-        }
-    }
-}
-
-/// Carry-less GF(2¹⁶) dot core over 8-element (16-byte) blocks:
-/// operands widen to 32-bit lanes, `b` swaps `u16` pairs per 4-byte
-/// group, products XOR-align at bit 32 of each 128-bit result. Returns
-/// the unreduced 31-bit accumulator and elements consumed.
-///
-/// # Safety
-///
-/// `a` and `b` must each be valid for `2 · len_elems` bytes; the caller
-/// must have verified SSSE3 + PCLMULQDQ + SSE4.1 support.
-#[target_feature(enable = "ssse3,pclmulqdq,sse4.1")]
-unsafe fn dot16_clmul(a: *const u8, b: *const u8, len_elems: usize) -> (u64, usize) {
-    // SAFETY: per the fn contract, byte offsets stay `< 2 · len_elems`
-    // and the loads are unaligned variants.
-    unsafe {
-        let rev = _mm_setr_epi8(2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13);
-        let mut acc = _mm_setzero_si128();
-        let n = len_elems / 8 * 8;
-        let mut i = 0usize;
-        while i < n * 2 {
-            let va = _mm_loadu_si128(a.add(i) as *const __m128i);
-            let vb = _mm_shuffle_epi8(_mm_loadu_si128(b.add(i) as *const __m128i), rev);
-            let a_lo = _mm_cvtepu16_epi32(va);
-            let a_hi = _mm_cvtepu16_epi32(_mm_srli_si128(va, 8));
-            let b_lo = _mm_cvtepu16_epi32(vb);
-            let b_hi = _mm_cvtepu16_epi32(_mm_srli_si128(vb, 8));
-            acc = _mm_xor_si128(acc, _mm_clmulepi64_si128(a_lo, b_lo, 0x00));
-            acc = _mm_xor_si128(acc, _mm_clmulepi64_si128(a_lo, b_lo, 0x11));
-            acc = _mm_xor_si128(acc, _mm_clmulepi64_si128(a_hi, b_hi, 0x00));
-            acc = _mm_xor_si128(acc, _mm_clmulepi64_si128(a_hi, b_hi, 0x11));
-            i += 16;
-        }
-        // Dot terms collect at bits 32..62 of the low qword of every CLMUL.
-        let lo = _mm_cvtsi128_si64(acc) as u64;
-        ((lo >> 32) & 0x7FFF_FFFF, n)
-    }
-}
-
-/// Dot product `Σ a[i]·b[i]` over GF(2¹⁶), or `None` when the host
-/// lacks PCLMULQDQ.
-pub(crate) fn dot16(a: &[Gf65536], b: &[Gf65536]) -> Option<Gf65536> {
-    debug_assert_eq!(a.len(), b.len());
-    if !crate::simd::caps().clmul {
-        return None;
-    }
-    // SAFETY: clmul capability checked; `#[repr(transparent)]` slices
-    // cover `2 · len` bytes.
-    let (un, n) = unsafe { dot16_clmul(a.as_ptr() as *const u8, b.as_ptr() as *const u8, a.len()) };
-    let mut acc = tables::reduce31(un);
-    let t = gf65536::tables();
-    for (&x, &y) in a[n..].iter().zip(&b[n..]) {
-        if x.0 != 0 && y.0 != 0 {
-            acc ^= t.exp[t.log[x.0 as usize] as usize + t.log[y.0 as usize] as usize];
-        }
-    }
-    Some(Gf65536(acc))
 }

@@ -27,7 +27,9 @@
 //! (`allow-justification`).
 //!
 //! Run `cargo run -p slicing-lint` locally, `-- --ci` in CI (adds the
-//! ledger drift check), `-- --write-ledger` after auditing new unsafe.
+//! ledger drift check), `-- --write-ledger` after auditing new unsafe,
+//! and `-- --stats` for the size and surface counts ([`Stats`]) a change
+//! reports.
 
 pub mod lexer;
 
@@ -694,6 +696,121 @@ pub fn analyze_tree(root: &Path) -> io::Result<Report> {
         report.merge(analyze_source(&rel, &src));
     }
     Ok(report)
+}
+
+// ---- stats ----------------------------------------------------------------
+
+/// Size and surface counts of first-party non-test code — the figures
+/// every change reports (`--stats`).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Stats {
+    /// Lines carrying code (not blank, not comment-only) outside
+    /// `#[cfg(test)]` items.
+    pub code_lines: usize,
+    /// `unsafe` sites in the ledger inventory (whole tree).
+    pub unsafe_sites: usize,
+    /// `env::var*` read sites.
+    pub env_var_reads: usize,
+    /// `pub trait` items.
+    pub pub_traits: usize,
+    /// `pub struct` items.
+    pub pub_structs: usize,
+    /// `pub enum` items.
+    pub pub_enums: usize,
+}
+
+impl fmt::Display for Stats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let rows = [
+            ("non-test code lines (crates/*/src)", self.code_lines),
+            ("ledgered unsafe sites", self.unsafe_sites),
+            ("env::var read sites", self.env_var_reads),
+            ("pub trait", self.pub_traits),
+            ("pub struct", self.pub_structs),
+            ("pub enum", self.pub_enums),
+        ];
+        for (name, n) in rows {
+            writeln!(f, "{name:<36}{n}")?;
+        }
+        Ok(())
+    }
+}
+
+/// Byte ranges of `#[cfg(test)]` items: the attribute through the end
+/// of the item's `{ … }` body, or through its `;` when that comes first.
+fn test_ranges(code: &str) -> Vec<(usize, usize)> {
+    find_tokens(code, "#[cfg(test)]", false, false)
+        .into_iter()
+        .filter_map(|at| {
+            let after = at + "#[cfg(test)]".len();
+            let semi = code[after..].find(';').map(|i| after + i);
+            let brace = code[after..].find('{').map(|i| after + i);
+            match (semi, brace) {
+                (Some(s), Some(b)) if s < b => Some((at, s)),
+                (Some(s), None) => Some((at, s)),
+                _ => match_braces(code, after).map(|(_, close)| (at, close)),
+            }
+        })
+        .collect()
+}
+
+/// [`Stats`] of one file's source text (`unsafe_sites` left at zero:
+/// that count comes from the tree-wide ledger inventory).
+pub fn stats_source(src: &str) -> Stats {
+    let s = lexer::strip(src);
+    let code = &s.code;
+    let tests = test_ranges(code);
+    let in_test = |off: usize| tests.iter().any(|&(a, b)| a <= off && off <= b);
+    let comment_lines: HashSet<usize> = s.comments.iter().map(|c| c.line).collect();
+    let raw: Vec<&str> = src.split('\n').collect();
+    let mut stats = Stats::default();
+    for line in 1..=s.line_count() {
+        if in_test(s.line_starts[line - 1]) {
+            continue;
+        }
+        // Code, or a continuation line of a multi-line string literal
+        // (blanked by the lexer, but not a comment either).
+        let has_code = !s.code_line(line).trim().is_empty()
+            || (raw.get(line - 1).is_some_and(|l| !l.trim().is_empty())
+                && !comment_lines.contains(&line));
+        stats.code_lines += usize::from(has_code);
+    }
+    let count = |needle: &str, right_bound: bool| {
+        find_tokens(code, needle, true, right_bound)
+            .into_iter()
+            .filter(|&p| !in_test(p))
+            .count()
+    };
+    stats.env_var_reads = count("env::var", false);
+    stats.pub_traits = count("pub trait", true);
+    stats.pub_structs = count("pub struct", true);
+    stats.pub_enums = count("pub enum", true);
+    stats
+}
+
+/// [`Stats`] of the workspace rooted at `root`: every `.rs` file under
+/// `crates/*/src`, plus the whole tree's unsafe inventory.
+pub fn stats_tree(root: &Path) -> io::Result<Stats> {
+    let mut files = Vec::new();
+    for c in fs::read_dir(root.join("crates"))? {
+        let src = c?.path().join("src");
+        if src.is_dir() {
+            walk(&src, &mut files)?;
+        }
+    }
+    let mut total = Stats {
+        unsafe_sites: analyze_tree(root)?.inventory.len(),
+        ..Stats::default()
+    };
+    for f in &files {
+        let s = stats_source(&fs::read_to_string(f)?);
+        total.code_lines += s.code_lines;
+        total.env_var_reads += s.env_var_reads;
+        total.pub_traits += s.pub_traits;
+        total.pub_structs += s.pub_structs;
+        total.pub_enums += s.pub_enums;
+    }
+    Ok(total)
 }
 
 // ---- ledger ---------------------------------------------------------------

@@ -1,4 +1,4 @@
-//! CLI driver: `cargo run -p slicing-lint [-- --ci | --write-ledger]`.
+//! CLI driver: `cargo run -p slicing-lint [-- --ci | --write-ledger | --stats]`.
 //!
 //! Exit codes: 0 clean, 1 findings (or ledger drift in `--ci`), 2 usage
 //! or I/O error.
@@ -19,12 +19,14 @@ fn workspace_root() -> PathBuf {
 fn main() -> ExitCode {
     let mut ci = false;
     let mut write_ledger = false;
+    let mut stats = false;
     let mut root = workspace_root();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--ci" => ci = true,
             "--write-ledger" => write_ledger = true,
+            "--stats" => stats = true,
             "--root" => match args.next() {
                 Some(p) => root = PathBuf::from(p),
                 None => {
@@ -33,10 +35,25 @@ fn main() -> ExitCode {
                 }
             },
             other => {
-                eprintln!("unknown argument `{other}` (try --ci, --write-ledger, --root <path>)");
+                eprintln!(
+                    "unknown argument `{other}` (try --ci, --write-ledger, --stats, --root <path>)"
+                );
                 return ExitCode::from(2);
             }
         }
+    }
+
+    if stats {
+        return match slicing_lint::stats_tree(&root) {
+            Ok(s) => {
+                print!("{s}");
+                ExitCode::SUCCESS
+            }
+            Err(e) => {
+                eprintln!("slicing-lint: cannot walk {}: {e}", root.display());
+                ExitCode::from(2)
+            }
+        };
     }
 
     let mut report = match slicing_lint::analyze_tree(&root) {

@@ -4,8 +4,8 @@
 //! live workspace itself stays clean (with a current ledger).
 
 use slicing_lint::{
-    analyze_source, analyze_tree, diff_ledger, render_ledger, Report, RULE_ALLOW,
-    RULE_GUARD_AWAIT, RULE_HOT_PATH, RULE_SAFETY, RULE_VENDOR_DRIFT,
+    analyze_source, analyze_tree, diff_ledger, render_ledger, stats_source, Report, Stats,
+    RULE_ALLOW, RULE_GUARD_AWAIT, RULE_HOT_PATH, RULE_SAFETY, RULE_VENDOR_DRIFT,
 };
 
 fn lines_for(report: &Report, rule: &str) -> Vec<usize> {
@@ -160,4 +160,46 @@ fn workspace_is_clean_and_ledger_is_current() {
         .expect("UNSAFE_LEDGER.md is checked in");
     let drift = diff_ledger(&existing, &render_ledger(&report.inventory));
     assert!(drift.is_empty(), "ledger drift: {:#?}", drift);
+}
+
+#[test]
+fn stats_count_code_outside_tests_and_comments() {
+    let src = r##"//! Module docs are comments.
+
+/// So are item docs.
+pub struct A; // trailing comment, code line
+
+pub enum E {
+    X,
+}
+
+pub trait T {}
+
+fn read() -> String {
+    let _ = std::env::var_os("B");
+    std::env::var("A").unwrap_or_default() + "first
+second line of one literal"
+}
+
+/* block
+   comment */
+
+#[cfg(test)]
+use std::env;
+
+#[cfg(test)]
+mod tests {
+    pub struct Hidden;
+    fn f() { let _ = std::env::var("C"); }
+}
+"##;
+    let want = Stats {
+        code_lines: 10,
+        unsafe_sites: 0,
+        env_var_reads: 2,
+        pub_traits: 1,
+        pub_structs: 1,
+        pub_enums: 1,
+    };
+    assert_eq!(stats_source(src), want);
 }

@@ -34,7 +34,7 @@
 //! deployed node verifies trailers with it, and the folded kernel runs
 //! an order of magnitude faster than the tables on it anyway.
 //!
-//! There is no `SLICING_*_FORCE` variable for this plane: tests and
+//! As in the other two planes, no setting overrides detection: tests and
 //! benches pin a backend per call with [`crc32_on`], and the sweep over
 //! [`available_backends`] runs against the bit-serial oracle on every
 //! test run.

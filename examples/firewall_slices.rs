@@ -10,7 +10,7 @@
 //! Run with: `cargo run --example firewall_slices`
 
 use information_slicing::codec::{decode, encode};
-use information_slicing::gf::{Field, Gf256, Matrix};
+use information_slicing::gf::{Gf256, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -38,7 +38,7 @@ fn main() {
     for candidate in 0..=255u8 {
         // Fix message block 0, byte 0 to `candidate`; check that the
         // remaining unknowns can still satisfy the observed slices.
-        let mut a = Matrix::<Gf256>::zero(d - 1, d - 1);
+        let mut a = Matrix::zero(d - 1, d - 1);
         let mut b = Vec::new();
         for (i, s) in crossing_openly.iter().enumerate() {
             for k in 1..d {

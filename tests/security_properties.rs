@@ -5,7 +5,7 @@
 use information_slicing::codec::{coder, encode};
 use information_slicing::core::testnet::TestNet;
 use information_slicing::core::{GraphParams, OverlayAddr, SourceSession};
-use information_slicing::gf::{Field, Gf256, Matrix};
+use information_slicing::gf::{Gf256, Matrix};
 use proptest::prelude::*;
 
 fn addrs(base: u64, n: usize) -> Vec<OverlayAddr> {
@@ -113,7 +113,7 @@ proptest! {
         let coded = encode(&msg, d, d, &mut rng);
         // Observe slices 1..d (drop slice 0).
         let observed = &coded.slices[1..];
-        let mut a = Matrix::<Gf256>::zero(d - 1, d - 1);
+        let mut a = Matrix::zero(d - 1, d - 1);
         let mut b = Vec::new();
         for (i, s) in observed.iter().enumerate() {
             for k in 1..d {
