@@ -1132,6 +1132,8 @@ impl RelayShard {
             stats.drops += 1;
             return RelayOutput::default();
         };
+        // Identity only: everything else, the reverse fan-in flag
+        // included, comes from the new info.
         let cur = &active.info;
         let authentic = new_info.secret_key == cur.secret_key
             && new_info.reverse_flow_id == cur.reverse_flow_id
@@ -1349,13 +1351,19 @@ impl RelayShard {
                     }
                 }
             }
-            // Completeness horizon: parents declared dead are no longer
-            // waited for, so one churned-out neighbour does not push
-            // every subsequent message into the flush timeout.
-            let expected = if is_reverse {
-                active.info.children.len()
-            } else {
+            // Completeness horizon. Forward: parents declared dead are
+            // no longer waited for, so one churned-out neighbour does not
+            // push every subsequent message into the flush timeout.
+            // Reverse: only the destination speaks upstream, so its
+            // parents hear one child and every stage above hears all
+            // `d′` (each dest-parent forwards to every parent). The
+            // flush deadline stays the fallback either way.
+            let expected = if !is_reverse {
                 active.live_parent_count()
+            } else if active.info.dest_parent {
+                1
+            } else {
+                active.info.children.len()
             };
             // Replay of a seq this destination already delivered: even if
             // the per-seq gather was reaped, the guard remembers.
@@ -1653,6 +1661,79 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), names.len(), "counter names must be unique");
+    }
+
+    /// A reverse gather completes on the children that speak: a
+    /// dest-parent flushes a reverse seq on the destination's one
+    /// packet, while a relay above it keeps waiting for all `d′` of its
+    /// children, until the flush deadline.
+    #[test]
+    fn reverse_gather_completes_on_the_children_that_speak() {
+        use crate::source::SourceSession;
+        use slicing_graph::{DestPlacement, GraphParams};
+
+        let pseudo = [OverlayAddr(501), OverlayAddr(502)];
+        let candidates: Vec<OverlayAddr> = (0..16).map(|i| OverlayAddr(20_000 + i)).collect();
+        // The stage-1 relay under test is the dest-parent when the
+        // destination sits at stage 2, and one stage further up at 3.
+        for (dest_stage, dest_parent) in [(2, true), (3, false)] {
+            let params = GraphParams::new(3, 2)
+                .with_paths(2)
+                .with_dest_placement(DestPlacement::Stage(dest_stage));
+            let (source, setup) =
+                SourceSession::establish(params, &pseudo, &candidates, OverlayAddr(1), 7).unwrap();
+            let g = source.graph();
+            let me = g.stages[1][0];
+            let mut relay = ShardedRelay::new(me, 7, 1);
+            for instr in setup.iter().filter(|i| i.to == me) {
+                relay.handle_packet(Tick(0), instr.from, &instr.packet);
+            }
+            let info = relay
+                .flow_info(g.flow_ids[1][0])
+                .expect("established")
+                .clone();
+            assert_eq!(info.dest_parent, dest_parent);
+
+            // One CRC-valid reverse slice from one child (the destination
+            // itself when it is a child).
+            let child = if dest_parent {
+                g.dest_addr()
+            } else {
+                info.children[0].0
+            };
+            let mut builder = PacketBuilder::new(PacketHeader {
+                kind: PacketKind::Data,
+                flow_id: info.reverse_flow_id,
+                seq: 0,
+                d: 2,
+                slot_count: 1,
+                slot_len: 2 + 16 + 4,
+            });
+            builder.slot().fill(7);
+            crc::write_crc(builder.slot_mut(0));
+            let out = relay.handle_packet(Tick(10), child, &builder.build());
+
+            let to_parents = |sends: &[SendInstr]| -> Vec<(OverlayAddr, FlowId)> {
+                sends
+                    .iter()
+                    .map(|s| (s.to, s.packet.header.flow_id))
+                    .collect()
+            };
+            if dest_parent {
+                assert_eq!(to_parents(&out.sends), info.parents, "flushed on one child");
+            } else {
+                assert!(
+                    out.sends.is_empty(),
+                    "one of d′ children is not a complete gather"
+                );
+                let out = relay.poll(Tick(10 + RelayConfig::default().data_flush_ms));
+                assert_eq!(
+                    to_parents(&out.sends),
+                    info.parents,
+                    "the deadline still flushes"
+                );
+            }
+        }
     }
 
     #[test]

@@ -56,8 +56,9 @@ use crate::source::SourceSession;
 use crate::time::Tick;
 use crate::wheel::TimerWheel;
 
-/// Timer-wheel bucket width for session shards (one bucket per daemon
-/// poll period, matching the relay wheel).
+/// Timer-wheel bucket width for session shards (matching the relay
+/// wheel). Entries fire exactly at their deadline and drivers sleep until
+/// [`SessionShard::next_deadline`], so the width sets scan cost only.
 const WHEEL_GRANULARITY_MS: u64 = 50;
 /// Timer-wheel bucket count (12.8 s horizon; longer deadlines ride
 /// across rotations).
@@ -133,8 +134,11 @@ pub struct SessionConfig {
     /// Minimum spacing between emission bursts.
     pub pace_ms: u64,
     /// Retransmit an unacknowledged chunk after this long. Must exceed
-    /// the relays' gather quarantine (2 × `data_flush_ms`) or retries
-    /// are swallowed as duplicates.
+    /// the relays' per-seq tombstone, or retries are swallowed as
+    /// duplicates: a gather is kept until `data_flush_ms` after its first
+    /// slice, and until `2 × data_flush_ms` when it had to time out (a
+    /// lost slice). On a healthy path acks return at forward speed, so
+    /// this bound, not the ack latency, sets the floor.
     pub retransmit_ms: u64,
     /// Per-session cap on buffered send bytes (queued + in flight);
     /// [`SourceSession::send`] returns [`SessionError::Backpressure`]
@@ -1567,6 +1571,14 @@ impl SessionShard {
         }
         self.expired = expired;
         out
+    }
+
+    /// When [`poll`](SessionShard::poll) next has work: the earliest
+    /// wheel entry, exactly (a stale entry only costs one empty wake).
+    /// `None` when no session waits on a timer; drivers then sleep until
+    /// a packet or command arrives.
+    pub fn next_deadline(&self) -> Option<Tick> {
+        self.wheel.next_deadline()
     }
 
     /// One session's wheel entry fired: validate lazily and act.

@@ -107,6 +107,35 @@ impl<K> TimerWheel<K> {
         self.len += 1;
     }
 
+    /// The earliest pending deadline, exactly (not rounded to a bucket),
+    /// or `None` when the wheel is empty. Drivers sleep until it.
+    ///
+    /// Scans buckets in sweep order from the cursor. Every entry in the
+    /// bucket `q` places past the cursor is due no earlier than that
+    /// bucket's start: a deadline the cursor had already passed at
+    /// scheduling sits in the cursor's own bucket, and an entry beyond
+    /// the horizon only later still. So the scan stops at the first
+    /// bucket whose start exceeds the minimum found so far, and costs
+    /// `O(buckets up to the earliest entry + entries in them)`.
+    pub fn next_deadline(&self) -> Option<Tick> {
+        if self.len == 0 {
+            return None;
+        }
+        let n = self.buckets.len() as u64;
+        let mut best: Option<u64> = None;
+        for q in 0..n {
+            let next_start = (self.cursor + q + 1).saturating_mul(self.granularity_ms);
+            let bucket = &self.buckets[((self.cursor + q) % n) as usize];
+            for &(deadline, _) in bucket {
+                best = Some(best.map_or(deadline.0, |b| b.min(deadline.0)));
+            }
+            if best.is_some_and(|b| b < next_start) {
+                break;
+            }
+        }
+        best.map(Tick)
+    }
+
     /// Move every entry of bucket `idx` due by `now` into `out`; if that
     /// empties the bucket, recycle its storage.
     fn sweep_bucket(&mut self, idx: usize, now: Tick, out: &mut Vec<(Tick, K)>) {
@@ -305,6 +334,63 @@ mod tests {
                 capacity(&w),
                 "tick {tick}"
             );
+        }
+    }
+
+    /// `next_deadline` against a brute-force minimum over the live
+    /// entries, through random schedules and polls: deadlines in the
+    /// partly swept cursor bucket, in the past, more than one rotation
+    /// out, and an empty wheel.
+    #[test]
+    fn next_deadline_matches_brute_force_min() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        for seed in 0..64u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Horizon 400 ms, so multi-rotation deadlines are common.
+            let mut w: TimerWheel<u32> = TimerWheel::new(50, 8);
+            let mut live: Vec<u64> = Vec::new();
+            let mut now = 0u64;
+            let mut out = Vec::new();
+            for step in 0..400u32 {
+                match rng.gen_range(0..10) {
+                    0..=4 => {
+                        let deadline = match rng.gen_range(0..4) {
+                            // Same bucket as `now`, possibly already due.
+                            0 => (now / 50) * 50 + rng.gen_range(0..50u64),
+                            // Past.
+                            1 => now.saturating_sub(rng.gen_range(0..200u64)),
+                            // Within the horizon.
+                            2 => now + rng.gen_range(0..400u64),
+                            // Several rotations out.
+                            _ => now + rng.gen_range(400..3_000u64),
+                        };
+                        w.schedule(Tick(deadline), step);
+                        live.push(deadline);
+                    }
+                    5..=8 => {
+                        now += rng.gen_range(0..120u64);
+                        out.clear();
+                        w.poll_expired(Tick(now), &mut out);
+                        assert!(out.iter().all(|(t, _)| t.0 <= now));
+                        live.retain(|&t| t > now);
+                    }
+                    _ => {
+                        // Drain everything: the empty wheel.
+                        now += 3_000;
+                        out.clear();
+                        w.poll_expired(Tick(now), &mut out);
+                        live.clear();
+                    }
+                }
+                assert_eq!(w.len(), live.len(), "seed {seed} step {step}");
+                assert_eq!(
+                    w.next_deadline(),
+                    live.iter().min().copied().map(Tick),
+                    "seed {seed} step {step} now {now}"
+                );
+            }
         }
     }
 

@@ -112,6 +112,56 @@ fn stream_round_trip_32_chunks() {
     assert!(stats.chunks_sent >= 33, "stats: {stats:?}");
 }
 
+/// An ack travels the reverse path at forward speed: on a lossless net
+/// the first ack reaches the source within the forward delivery latency
+/// plus one step, even with a flush timer far longer than that. Only the
+/// destination speaks upstream, so a reverse gather that waited for
+/// every child would hold each ack for a full `data_flush_ms` at the
+/// destination's parents.
+#[test]
+fn first_ack_arrives_within_forward_latency_plus_one_step() {
+    const STEP_MS: u64 = 10;
+    let relays = addrs(20_000, 24);
+    let pseudo = addrs(10_000, 2);
+    let dest = OverlayAddr(1);
+    let relay_config = RelayConfig {
+        data_flush_ms: 1_000,
+        ..relay_config()
+    };
+    let session_config = SessionConfig {
+        retransmit_ms: 2_500,
+        ..session_config()
+    };
+    let mut net = SessionNet::new(&relays, 41, relay_config, session_config, 1);
+    let mut manager = SessionManager::new(1, 8, session_config);
+    let (src, _dst, setup) = open_session(&mut manager, &mut net, &pseudo, dest, 3, 2, 2, 41);
+    net.submit(setup);
+    net.run(&mut manager, 2, STEP_MS);
+    assert_eq!(net.dest_session_count(), 1, "established");
+
+    for m in 0..4u8 {
+        let (_, sends) = manager.send(net.now, src, &[m; 100]).unwrap();
+        net.submit(sends);
+    }
+    let (mut delivered_at, mut acked_at) = (None, None);
+    for step in 1..=200u64 {
+        net.step(&mut manager, STEP_MS);
+        if delivered_at.is_none() && !net.delivered.is_empty() {
+            delivered_at = Some(step);
+        }
+        if !net.acked.is_empty() {
+            acked_at = Some(step);
+            break;
+        }
+    }
+    let delivered_at = delivered_at.expect("forward delivery");
+    let acked_at = acked_at.expect("a message is acked");
+    assert!(
+        acked_at <= delivered_at + 1,
+        "delivered after {delivered_at} step(s) but acked after {acked_at} (of {STEP_MS} ms)"
+    );
+}
+
 #[test]
 fn many_sessions_multiplex_in_order() {
     let relays = addrs(20_000, 30);

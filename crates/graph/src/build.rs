@@ -368,6 +368,7 @@ fn assemble_infos(
             };
             stage_infos.push(NodeInfo {
                 receiver: stage == dest_stage && v == dest_index,
+                dest_parent: stage + 1 == dest_stage,
                 recode: matches!(params.data_mode, crate::params::DataMode::Recode),
                 secret_key: keys[stage][v],
                 reverse_flow_id: reverse_flow_ids[stage][v],
@@ -714,6 +715,63 @@ mod tests {
                 let is_dest = stage == g.dest.stage && v == g.dest.index;
                 assert_eq!(g.infos[stage][v].receiver, is_dest);
             }
+        }
+    }
+
+    /// Positions whose info carries the reverse fan-in flag.
+    fn dest_parents(g: &BuiltGraph) -> Vec<NodePosition> {
+        let mut out = Vec::new();
+        for (stage, infos) in g.infos.iter().enumerate().skip(1) {
+            for (index, info) in infos.iter().enumerate() {
+                if info.dest_parent {
+                    out.push(NodePosition { stage, index });
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn dest_parent_flag_marks_exactly_the_stage_above_the_destination() {
+        let mut rng = StdRng::seed_from_u64(37);
+        for dest_stage in 1..=4usize {
+            let params = GraphParams::new(4, 2)
+                .with_paths(3)
+                .with_dest_placement(DestPlacement::Stage(dest_stage));
+            let g = build(
+                params,
+                &addrs(10_000, 3),
+                &addrs(20_000, 20),
+                OverlayAddr(1),
+                &mut rng,
+            )
+            .unwrap();
+            let want: Vec<NodePosition> = if dest_stage == 1 {
+                // The destination's parents are the pseudo-sources: the
+                // source itself, which carries no info.
+                Vec::new()
+            } else {
+                (0..3)
+                    .map(|index| NodePosition {
+                        stage: dest_stage - 1,
+                        index,
+                    })
+                    .collect()
+            };
+            assert_eq!(dest_parents(&g), want, "dest at stage {dest_stage}");
+
+            // Repair re-keys positions, never the destination's placement.
+            let victim = g
+                .relay_addrs()
+                .find(|&a| a != g.dest_addr())
+                .expect("a non-destination relay");
+            let (g2, _) =
+                rebuild_excluding(&g, &[victim].into(), &addrs(90_000, 2), &mut rng).unwrap();
+            assert_eq!(
+                dest_parents(&g2),
+                want,
+                "dest at stage {dest_stage}, repaired"
+            );
         }
     }
 

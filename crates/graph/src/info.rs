@@ -1,10 +1,11 @@
 //! Per-node information `I_x` (§4.3.1) and its fixed-size serialization.
 //!
 //! `I_x` is everything a relay needs to participate in a flow:
-//! next-hop addresses and flow-ids, the receiver flag, a symmetric secret
-//! key, the slice-map (§4.3.6), the data-map (§4.3.7), the expected parent
-//! set (with reverse flow-ids for §4.3.7's reverse path) and the per-hop
-//! transform it must strip from forwarded slices (§9.4(a)).
+//! next-hop addresses and flow-ids, the receiver and reverse fan-in
+//! flags, a symmetric secret key, the slice-map (§4.3.6), the data-map
+//! (§4.3.7), the expected parent set (with reverse flow-ids for
+//! §4.3.7's reverse path) and the per-hop transform it must strip from
+//! forwarded slices (§9.4(a)).
 //!
 //! The encoding is **fixed-size for a given `(L, d′)`** — relays at
 //! different stages produce identical-length blobs (absent children are
@@ -39,6 +40,12 @@ pub struct SliceMapEntry {
 pub struct NodeInfo {
     /// Receiver flag: is this node the intended destination?
     pub receiver: bool,
+    /// Reverse fan-in flag: one of this node's children is the
+    /// destination (this node sits at `dest_stage − 1`). Only the
+    /// destination speaks upstream (§4.3.7), so a reverse gather here is
+    /// complete on the first child's packet; every stage above hears all
+    /// `d′` children. Which child is the destination is not said.
+    pub dest_parent: bool,
     /// Data-phase discipline: `true` = recode at every hop
     /// ([`DataMode::Recode`]), `false` = static data-map.
     ///
@@ -140,6 +147,9 @@ impl NodeInfo {
         if self.recode {
             flags |= 4;
         }
+        if self.dest_parent {
+            flags |= 8;
+        }
         out.push(flags);
         out.extend_from_slice(&self.secret_key.0);
         out.extend_from_slice(&self.reverse_flow_id.0.to_le_bytes());
@@ -211,6 +221,12 @@ impl NodeInfo {
         let receiver = flags & 1 != 0;
         let has_children = flags & 2 != 0;
         let recode = flags & 4 != 0;
+        let dest_parent = flags & 8 != 0;
+        // Bits 4–7 are unassigned, and the destination is never its own
+        // parent.
+        if flags & 0xF0 != 0 || (receiver && dest_parent) {
+            return Err(InfoError::Inconsistent);
+        }
         let mut key = [0u8; 32];
         key.copy_from_slice(&bytes[2..34]);
         let reverse_flow_id = FlowId(u64::from_le_bytes(bytes[34..42].try_into().unwrap()));
@@ -263,6 +279,7 @@ impl NodeInfo {
 
         Ok(NodeInfo {
             receiver,
+            dest_parent,
             recode,
             secret_key: SymmetricKey(key),
             reverse_flow_id,
@@ -291,6 +308,7 @@ mod tests {
         let slots = 5usize;
         NodeInfo {
             receiver: true,
+            dest_parent: false,
             recode: true,
             secret_key: SymmetricKey([7u8; 32]),
             reverse_flow_id: FlowId(0xAA),
@@ -360,6 +378,52 @@ mod tests {
         let mut bytes = sample(true).encode();
         bytes[0] = 9;
         assert_eq!(NodeInfo::decode(&bytes).unwrap_err(), InfoError::BadVersion);
+    }
+
+    /// Re-seal `bytes` after an edit, so decode gets past the checksum.
+    fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
+        let body = bytes.len() - CHECKSUM_LEN;
+        let digest = Sha256::digest(&bytes[..body]);
+        bytes[body..].copy_from_slice(&digest[..CHECKSUM_LEN]);
+        bytes
+    }
+
+    #[test]
+    fn dest_parent_round_trips_in_the_flags_byte() {
+        let info = NodeInfo {
+            receiver: false,
+            dest_parent: true,
+            ..sample(true)
+        };
+        let bytes = info.encode();
+        assert_eq!(bytes.len(), encoded_len(5, 3), "no byte added");
+        assert_eq!(bytes[1] & 8, 8);
+        assert_eq!(NodeInfo::decode(&bytes).unwrap(), info);
+    }
+
+    #[test]
+    fn unassigned_or_contradictory_flags_are_inconsistent() {
+        let bytes = NodeInfo {
+            receiver: false,
+            ..sample(true)
+        }
+        .encode();
+        for bit in 4..8 {
+            let mut forged = bytes.clone();
+            forged[1] |= 1 << bit;
+            assert_eq!(
+                NodeInfo::decode(&reseal(forged)).unwrap_err(),
+                InfoError::Inconsistent,
+                "flag bit {bit}"
+            );
+        }
+        // Receiver and dest-parent at once.
+        let mut forged = sample(true).encode();
+        forged[1] |= 8;
+        assert_eq!(
+            NodeInfo::decode(&reseal(forged)).unwrap_err(),
+            InfoError::Inconsistent
+        );
     }
 
     #[test]

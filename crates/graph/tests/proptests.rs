@@ -81,10 +81,14 @@ proptest! {
         }
     }
 
-    /// NodeInfo serialization round-trips for arbitrary-ish field values.
+    /// NodeInfo serialization round-trips for arbitrary-ish field values;
+    /// the one contradictory flag pair (the destination as its own
+    /// parent) is refused instead.
     #[test]
     fn node_info_round_trip(seed in any::<u64>(), receiver in any::<bool>(),
-                            recode in any::<bool>(), has_children in any::<bool>()) {
+                            dest_parent in any::<bool>(), recode in any::<bool>(),
+                            has_children in any::<bool>()) {
+        use slicing_graph::info::InfoError;
         use slicing_codec::HopTransform;
         use slicing_crypto::SymmetricKey;
         use slicing_wire::FlowId;
@@ -93,6 +97,7 @@ proptest! {
         let slots = 6usize;
         let info = NodeInfo {
             receiver,
+            dest_parent,
             recode,
             secret_key: SymmetricKey::random(&mut rng),
             reverse_flow_id: FlowId::random(&mut rng),
@@ -112,8 +117,12 @@ proptest! {
                 vec![vec![Some(0), Some(1), Some(2), None, None, None]; dp]
             } else { vec![] },
         };
-        let decoded = NodeInfo::decode(&info.encode()).unwrap();
-        prop_assert_eq!(decoded, info);
+        let decoded = NodeInfo::decode(&info.encode());
+        if receiver && dest_parent {
+            prop_assert_eq!(decoded, Err(InfoError::Inconsistent));
+        } else {
+            prop_assert_eq!(decoded, Ok(info));
+        }
     }
 
     /// Corrupting any single byte of an encoded NodeInfo is detected.
@@ -125,6 +134,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(7);
         let info = NodeInfo {
             receiver: false,
+            dest_parent: false,
             recode: true,
             secret_key: SymmetricKey::random(&mut rng),
             reverse_flow_id: FlowId::random(&mut rng),

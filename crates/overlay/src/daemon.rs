@@ -665,8 +665,14 @@ async fn node_ingress(mut port: NodePort, routing: IngressRouting, mut stop: mps
 }
 
 /// One session shard's worker: owns the shard, drives packets, driver
-/// commands and the 50 ms wheel tick, transmits through the node's
-/// shared egress map, and reports session events.
+/// commands and the shard's timers, transmits through the node's shared
+/// egress map, and reports session events.
+///
+/// There is no periodic tick. Between events the worker sleeps until the
+/// shard's next deadline, exactly (a pacing gap, a retransmit, a
+/// keepalive), or until a packet or command arrives when no session
+/// waits on a timer. Due timers run at every batch boundary, so a busy
+/// inbox cannot starve them.
 async fn session_worker(
     mut shard: SessionShard,
     mut packets: mpsc::Receiver<SessionPacket>,
@@ -679,8 +685,6 @@ async fn session_worker(
     // Cleared once the last driver handle is dropped, so the select loop
     // keeps serving packets instead of spinning on the closed channel.
     let mut cmds_open = true;
-    let mut ticker = tokio::time::interval(POLL_PERIOD);
-    ticker.set_missed_tick_behavior(tokio::time::MissedTickBehavior::Delay);
     let mut scratch = Vec::new();
     let handle = |shard: &mut SessionShard,
                   id: SessionId,
@@ -694,6 +698,12 @@ async fn session_worker(
         }
     };
     loop {
+        // Tick `t` is the instant `epoch + t` ms and `now_tick` rounds
+        // down, so waking at that instant reads `now >= t`: the entry
+        // fires on this wake, never a spin later.
+        let wake = shard
+            .next_deadline()
+            .map(|t| epoch + Duration::from_millis(t.0));
         let mut out = tokio::select! {
             maybe = packets.recv() => {
                 let Some((id, local, from, bytes)) = maybe else { break };
@@ -708,17 +718,10 @@ async fn session_worker(
                     }
                 }
             }
-            _ = ticker.tick() => {
-                // Fold the transport's congestion hint into the shard's
-                // pacing floor: sources slow their admission to what the
-                // wire is actually draining (0 clears the override).
-                let hint = egress
-                    .values()
-                    .filter_map(|p| p.pace_hint_ms())
-                    .max()
-                    .unwrap_or(0);
-                shard.set_pace_override(hint);
-                shard.poll(now_tick(epoch))
+            // The guard keeps the arm (and its timer) off when nothing
+            // is scheduled; `epoch` is then never awaited.
+            _ = tokio::time::sleep_until(wake.unwrap_or(epoch)), if wake.is_some() => {
+                SessionOutput::default()
             }
         };
         for _ in 0..WORKER_DRAIN_BATCH {
@@ -728,6 +731,19 @@ async fn session_worker(
                 }
                 Err(_) => break,
             }
+        }
+        let now = now_tick(epoch);
+        if shard.next_deadline().is_some_and(|t| t <= now) {
+            // Fold the transport's congestion hint into the shard's
+            // pacing floor: sources slow their admission to what the
+            // wire is actually draining (0 clears the override).
+            let hint = egress
+                .values()
+                .filter_map(|p| p.pace_hint_ms())
+                .max()
+                .unwrap_or(0);
+            shard.set_pace_override(hint);
+            out.merge(shard.poll(now));
         }
         emit_session_events(&events, epoch, &mut out);
         let misaddressed = flush_instr_batches(&egress, out.sends, &mut scratch).await;
@@ -1144,9 +1160,60 @@ mod tests {
         });
         let sessions = node.sessions.clone().expect("session plane");
         let (source, setup) = establish(22);
-        let lost = setup.len() as u64;
+        // Every setup send, then the session's first keepalive burst (due
+        // at once: one per pseudo-source × stage-1 relay). The next burst
+        // is `keepalive_ms` (10 s) away, so the count is exact whatever
+        // the worker's wake cadence.
+        let dp = params.paths as u64;
+        let lost = setup.len() as u64 + dp * dp;
         sessions.open_source(source, setup).await;
         let seen = crate::testutil::wait_until(|| sessions.stats(), |s| s.drops >= lost).await;
-        assert_eq!(seen.drops, lost, "every setup send is mis-addressed");
+        assert_eq!(
+            seen.drops, lost,
+            "every setup and keepalive send is mis-addressed"
+        );
+    }
+
+    /// The session worker sleeps until its shard's next deadline, not a
+    /// periodic tick: source keepalives due every 5 ms go out about every
+    /// 5 ms (onto ports the node does not own, so each burst shows up as
+    /// drops), where a 50 ms tick would space them ten times wider.
+    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
+    async fn session_worker_wakes_at_the_next_deadline() {
+        const BURSTS: u64 = 20;
+        let net = EmulatedNet::new(NetProfile::lan(), 7);
+        let pseudo = [OverlayAddr(501), OverlayAddr(502)];
+        let candidates: Vec<OverlayAddr> = (0..16).map(|i| OverlayAddr(20_000 + i)).collect();
+        let params = GraphParams::new(3, 2).with_paths(2);
+        let (mut source, setup) =
+            SourceSession::establish(params, &pseudo, &candidates, OverlayAddr(1), 23)
+                .expect("valid params");
+        source.set_config(slicing_core::SourceConfig {
+            keepalive_ms: 5,
+            ..slicing_core::SourceConfig::default()
+        });
+        let (events, _events_rx) = mpsc::unbounded_channel();
+        let node = spawn_node(NodeSpec {
+            relay: None,
+            sessions: Some(SessionManager::new(1, 8, SessionConfig::default())),
+            ports: vec![net.attach(OverlayAddr(601)), net.attach(OverlayAddr(602))],
+            dest_sessions: None,
+            events,
+            session_events: None,
+            epoch: Instant::now(),
+        });
+        let sessions = node.sessions.clone().expect("session plane");
+        let dp = params.paths as u64;
+        let want = setup.len() as u64 + BURSTS * dp * dp;
+        let start = Instant::now();
+        sessions.open_source(source, setup).await;
+        let seen = crate::testutil::wait_until(|| sessions.stats(), |s| s.drops >= want).await;
+        let took = start.elapsed();
+        assert!(seen.drops >= want, "stats: {seen:?}");
+        // 20 bursts 5 ms apart take about 100 ms; 50 ms apart, a second.
+        assert!(
+            took < Duration::from_millis(500),
+            "{BURSTS} keepalive bursts due 5 ms apart took {took:?}"
+        );
     }
 }

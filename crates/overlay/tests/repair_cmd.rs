@@ -115,13 +115,14 @@ async fn repair_command_recovers_manager_hosted_session() {
             _ = &mut deadline => panic!("flow never established"),
         }
     }
+    // Kill the victim, then start the stream: blackhole it on the
+    // emulated net so its upstream/downstream neighbours stop hearing
+    // keepalives. The stream cannot complete before failure detection
+    // lands — acks travel at forward speed, so a 24 kB transfer that
+    // started first would finish in milliseconds, before any kill.
+    net.fail(victim);
     let payload: Vec<u8> = (0..24_000u32).map(|i| (i * 31 % 251) as u8).collect();
     sessions.send(id, payload.clone()).await;
-
-    // Kill the victim mid-transfer: blackhole it on the emulated net so
-    // its upstream/downstream neighbours stop hearing keepalives.
-    tokio::time::sleep(Duration::from_millis(150)).await;
-    net.fail(victim);
 
     // Speculative repair, soak-driver style: every 200 ms nudge the
     // session with the pool of still-live candidates. Before failure
