@@ -858,8 +858,9 @@ pub fn render_ledger(inventory: &[UnsafeSite]) -> String {
          (`cargo run -p slicing-lint -- --ci`) fails when this file drifts\n\
          from the tree, so any new `unsafe` shows up as a reviewable diff\n\
          here. `vendor/` entries are additionally policed by the\n\
-         `vendor-drift` rule (vendored crates are `#![forbid(unsafe_code)]`\n\
-         today and must stay that way unless a ledger entry justifies it).\n\n",
+         `vendor-drift` rule: vendored crates are `#![forbid(unsafe_code)]`\n\
+         except `vendor/tokio`, which denies it outside its epoll reactor,\n\
+         and every vendored site must have an entry here.\n\n",
     );
     out.push_str(&format!(
         "Total: {} unsafe sites across {} files ({} in vendor/).\n",

@@ -203,3 +203,40 @@ mod tests {
     };
     assert_eq!(stats_source(src), want);
 }
+
+#[test]
+fn seeded_regression_unledgered_vendor_unsafe() {
+    // Real workspace source: the vendored reactor's unsafe is ledgered
+    // as checked in…
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .and_then(std::path::Path::parent)
+        .expect("workspace root");
+    let ledger = std::fs::read_to_string(root.join(slicing_lint::LEDGER_FILE))
+        .expect("UNSAFE_LEDGER.md is checked in");
+    let rel = "vendor/tokio/src/reactor.rs";
+    let src = include_str!("../../../vendor/tokio/src/reactor.rs");
+    let clean = analyze_source(rel, src);
+    assert!(
+        clean.findings.is_empty(),
+        "unexpected: {:?}",
+        clean.findings
+    );
+    assert!(!clean.inventory.is_empty());
+    let tree = analyze_tree(root).expect("walk workspace");
+
+    // …and one more site, SAFETY comment and all, appended to it fails
+    // `vendor-drift` until the ledger lists it.
+    let seeded =
+        format!("{src}\n// SAFETY: seeded; nothing to uphold.\nconst _: () = unsafe {{}};\n");
+    let mut inventory: Vec<_> = tree
+        .inventory
+        .into_iter()
+        .filter(|s| s.file != rel)
+        .collect();
+    inventory.extend(analyze_source(rel, &seeded).inventory);
+    let drift = diff_ledger(&ledger, &render_ledger(&inventory));
+    assert_eq!(drift.len(), 1, "drift: {drift:#?}");
+    assert_eq!(drift[0].rule, RULE_VENDOR_DRIFT);
+    assert!(drift[0].message.contains("not in ledger"));
+}

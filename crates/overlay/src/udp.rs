@@ -68,6 +68,9 @@ const DATA_HDR: usize = 9;
 const MAX_DATAGRAM: usize = 65_507;
 /// Datagrams drained per receive wakeup.
 const RECV_BATCH: usize = 32;
+/// Longest the reorder shim holds a datagram waiting for a later one
+/// to overtake it; then it is delivered in order.
+const REORDER_HOLD: Duration = Duration::from_millis(50);
 /// Echo a feedback frame at least every this many data datagrams…
 const FEEDBACK_EVERY: u32 = 16;
 /// …or after this much silence, whichever comes first.
@@ -90,8 +93,9 @@ const HINT_BURST: usize = 16;
 pub struct UdpFaults {
     /// Drop probability.
     pub loss: f64,
-    /// Probability of deferring a datagram behind its successors
-    /// (reordering within a receive burst).
+    /// Probability of holding a datagram back until the next data
+    /// datagram on the port has overtaken it (delivered in order if
+    /// none arrives within a fixed bound).
     pub reorder: f64,
     /// Probability of delivering a datagram twice.
     pub duplicate: f64,
@@ -137,7 +141,8 @@ pub struct UdpStatsSnapshot {
     pub injected_drops: u64,
     /// Datagrams duplicated by injection.
     pub injected_dups: u64,
-    /// Datagrams reordered by injection.
+    /// Datagrams reordered by injection: held back and actually
+    /// overtaken by a later datagram.
     pub injected_reorders: u64,
 }
 
@@ -595,15 +600,30 @@ async fn recv_task(
     mut rng: StdRng,
 ) {
     let mut peers: HashMap<std::net::SocketAddr, RxPeer> = HashMap::new();
-    let mut held: Option<(OverlayAddr, Bytes)> = None;
+    // A datagram the reorder shim holds back, and when it goes out in
+    // order if no later datagram overtakes it first.
+    let mut held: Option<((OverlayAddr, Bytes), Instant)> = None;
+    let mut buf = vec![0u8; MAX_DATAGRAM];
     loop {
-        let recv = Box::pin(sock.recv_many_from(RECV_BATCH, MAX_DATAGRAM));
+        let flush_at = held.as_ref().map(|(_, at)| *at);
+        let recv = Box::pin(sock.recv_many_from(&mut buf, RECV_BATCH));
         let burst = tokio::select! {
             got = recv => match got {
-                Ok(burst) => burst,
+                Ok(burst) => Some(burst),
                 Err(_) => break,
             },
             _ = tx.closed() => break,
+            _ = tokio::time::sleep_until(flush_at.unwrap_or_else(Instant::now)),
+                if flush_at.is_some() => None,
+        };
+        let Some(burst) = burst else {
+            // Nothing overtook the held datagram: deliver it in order.
+            if let Some((deferred, _)) = held.take() {
+                if tx.send(deferred).await.is_err() {
+                    break;
+                }
+            }
+            continue;
         };
         shared.stats.recv_calls.fetch_add(1, Ordering::Relaxed);
         let now_us = shared.now_us();
@@ -648,11 +668,7 @@ async fn recv_task(
                         continue;
                     }
                     if f.reorder > 0.0 && held.is_none() && rng.gen::<f64>() < f.reorder {
-                        shared
-                            .stats
-                            .injected_reorders
-                            .fetch_add(1, Ordering::Relaxed);
-                        held = Some((from, payload));
+                        held = Some(((from, payload), Instant::now() + REORDER_HOLD));
                         continue;
                     }
                     let dup = f.duplicate > 0.0 && rng.gen::<f64>() < f.duplicate;
@@ -667,7 +683,12 @@ async fn recv_task(
                         exit = true;
                         break;
                     }
-                    if let Some(deferred) = held.take() {
+                    if let Some((deferred, _)) = held.take() {
+                        // This datagram overtook the held one.
+                        shared
+                            .stats
+                            .injected_reorders
+                            .fetch_add(1, Ordering::Relaxed);
                         if tx.send(deferred).await.is_err() {
                             exit = true;
                             break;
@@ -679,13 +700,6 @@ async fn recv_task(
         }
         if exit {
             break;
-        }
-        // A datagram deferred past the end of its burst still delivers
-        // (reordered across bursts, never wedged).
-        if let Some(deferred) = held.take() {
-            if tx.send(deferred).await.is_err() {
-                break;
-            }
         }
         // Echo delay feedback to chatty or overdue senders.
         for (src, peer) in peers.iter_mut() {
@@ -828,23 +842,56 @@ mod tests {
         assert_eq!(one, two);
         assert_eq!(net.stats().injected_dups, 1);
 
+        // At reorder=1.0 the first datagram waits for the second to
+        // overtake it: in one batch, in two sends, and in two sends with
+        // the first already read off the socket when the second leaves.
+        for (seed, split) in [(6, None), (11, Some(false)), (13, Some(true))] {
+            let net = UdpNet::new(
+                UdpFaults {
+                    reorder: 1.0,
+                    ..Default::default()
+                },
+                seed,
+            );
+            let a = net.attach().await.unwrap();
+            let mut b = net.attach().await.unwrap();
+            let mut frames: Vec<Bytes> =
+                vec![Bytes::from(&b"first"[..]), Bytes::from(&b"second"[..])];
+            match split {
+                None => a.tx.send_many(b.addr, &mut frames).await,
+                Some(first_read) => {
+                    let second = frames.pop().expect("two frames");
+                    a.tx.send(b.addr, frames.pop().expect("two frames")).await;
+                    while first_read && net.stats().datagrams_received == 0 {
+                        tokio::task::yield_now().await;
+                    }
+                    a.tx.send(b.addr, second).await;
+                }
+            }
+            let (_, one) = b.rx.recv().await.unwrap();
+            let (_, two) = b.rx.recv().await.unwrap();
+            assert_eq!((&one[..], &two[..]), (&b"second"[..], &b"first"[..]));
+            assert_eq!(net.stats().injected_reorders, 1);
+        }
+    }
+
+    /// A held datagram that nothing overtakes still arrives, and does
+    /// not count as reordered.
+    #[tokio::test]
+    async fn reorder_hold_flushes_in_order_when_nothing_follows() {
         let net = UdpNet::new(
             UdpFaults {
                 reorder: 1.0,
                 ..Default::default()
             },
-            6,
+            12,
         );
         let a = net.attach().await.unwrap();
         let mut b = net.attach().await.unwrap();
-        let mut frames: Vec<Bytes> =
-            vec![Bytes::from(&b"first"[..]), Bytes::from(&b"second"[..])];
-        a.tx.send_many(b.addr, &mut frames).await;
-        let (_, one) = b.rx.recv().await.unwrap();
-        let (_, two) = b.rx.recv().await.unwrap();
-        // Both arrive; at reorder=1.0 the first defers behind the next.
-        assert_eq!((&one[..], &two[..]), (&b"second"[..], &b"first"[..]));
-        assert!(net.stats().injected_reorders >= 1);
+        a.tx.send(b.addr, Bytes::from(&b"alone"[..])).await;
+        let (_, got) = b.rx.recv().await.unwrap();
+        assert_eq!(got, &b"alone"[..]);
+        assert_eq!(net.stats().injected_reorders, 0);
     }
 
     #[tokio::test]
