@@ -43,7 +43,7 @@ fn setup(c: &mut Criterion) {
             &(l, d),
             |b, &(l, d)| {
                 let mut rng = StdRng::seed_from_u64(17);
-                let graph = build::build(
+                let (graph, blueprint) = build::build(
                     GraphParams::new(l, d),
                     &pseudo,
                     &candidates,
@@ -51,7 +51,7 @@ fn setup(c: &mut Criterion) {
                     &mut rng,
                 )
                 .unwrap();
-                b.iter(|| graph.setup_packets(&mut rng));
+                b.iter(|| blueprint.setup_packets(&graph));
             },
         );
     }

@@ -38,7 +38,7 @@
 //! delta into the shared atomics when a driver wants them visible.
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -321,44 +321,148 @@ impl RelayOutput {
     }
 }
 
-/// Per-(direction, seq) data-slice gathering. Its flush deadline lives
-/// in the relay's timer wheel, registered at creation.
-#[derive(Clone, Debug)]
+/// How far apart, in seqs, the gathers one direction of a flow holds at
+/// once may lie. Legitimate traffic spans `rate × 2 × data_flush_ms`
+/// (a few hundred seqs on the bulk benchmark, about two thousand for a
+/// live 70 Mbit/s stream); a seq that would stretch the store past this
+/// is dropped and counted, so a neighbour forging far seqs costs a
+/// flow at most `16 B ×` this much.
+const GATHER_WINDOW: u32 = 1 << 16;
+
+/// An open data gather: the slices one seq has collected in one
+/// direction. Its flush deadline lives in the relay's timer wheel,
+/// registered at creation.
+#[derive(Clone, Debug, Default)]
 struct DataGather {
-    /// Parents (or children, for reverse flows) heard from.
-    heard: HashSet<OverlayAddr>,
-    /// The neighbour each retained slice came from (parallel to
+    /// Neighbours heard from, as a bitmask over their index in the
+    /// parent (forward) or child (reverse) list (`d′ ≤ 64`).
+    heard: u64,
+    /// The neighbour index each retained slice came from (parallel to
     /// `slices`; Map-mode forwarding selects by origin).
-    origins: Vec<OverlayAddr>,
+    origins: Vec<u8>,
     /// CRC-valid slice bytes (`coeffs ‖ payload`), zero-copy views into
     /// the receive buffers.
     slices: Vec<Bytes>,
-    /// Already flushed downstream (late packets are ignored).
+    /// Already flushed downstream. Only a receiver flow that has not
+    /// delivered the seq keeps a flushed gather open: late slices may
+    /// still complete the delivery.
     flushed: bool,
-    /// Already delivered to the application (destination only).
-    delivered: bool,
 }
 
-impl DataGather {
-    fn new() -> Self {
-        DataGather {
-            heard: HashSet::new(),
-            origins: Vec::new(),
-            slices: Vec::new(),
-            flushed: false,
-            delivered: false,
+/// One seq's entry in a [`GatherStore`].
+#[derive(Clone, Debug)]
+enum Gather {
+    /// Still collecting (or, on a receiver, waiting to deliver).
+    Open(Box<DataGather>),
+    /// Flushed: the tombstone that swallows late copies until the
+    /// gather's deadline removes it. It keeps only the heard-set (a
+    /// neighbour heard for the first time is still accepted, like a
+    /// packet of padding); whether the seq was delivered is the flow's
+    /// replay guard's to say.
+    Done(u64),
+}
+
+impl Gather {
+    fn flushed(&self) -> bool {
+        match self {
+            Gather::Open(g) => g.flushed,
+            Gather::Done(_) => true,
         }
     }
 }
 
-/// Setup-phase gathering: the packets received so far, by parent.
-/// Cloning a [`Packet`] into the gather is O(1) — the wire buffer is
-/// shared, not copied.
+// A tombstone, or a hole, costs one 16-byte slot.
+const _: () = assert!(std::mem::size_of::<Option<Gather>>() == 16);
+
+/// The data gathers of one direction of a flow, indexed by seq: slot
+/// `i` holds seq `base + i`, and `None` is a hole between live seqs.
+/// Lookup is O(1), in-order seqs append and retire at the ends, and the
+/// store frees its allocation when its last gather is removed — an
+/// idle flow holds no gather memory at all.
+#[derive(Clone, Debug, Default)]
+struct GatherStore {
+    base: u32,
+    slots: VecDeque<Option<Gather>>,
+}
+
+impl GatherStore {
+    /// The gather for `seq`, opening a fresh one if there is none (the
+    /// flag says so). `None` when `seq` lies so far from the live seqs
+    /// that holding it would stretch the store past [`GATHER_WINDOW`].
+    fn open(&mut self, seq: u32) -> Option<(&mut Gather, bool)> {
+        let len = self.slots.len() as u32;
+        let ahead = seq.wrapping_sub(self.base);
+        let behind = self.base.wrapping_sub(seq);
+        let idx = if len == 0 {
+            self.base = seq;
+            self.slots.push_back(None);
+            0
+        } else if ahead < len {
+            ahead
+        } else if ahead < GATHER_WINDOW {
+            self.slots.resize_with(ahead as usize + 1, || None);
+            ahead
+        } else if behind <= GATHER_WINDOW - len {
+            for _ in 0..behind {
+                self.slots.push_front(None);
+            }
+            self.base = seq;
+            0
+        } else {
+            return None;
+        };
+        let slot = &mut self.slots[idx as usize];
+        let opened = slot.is_none();
+        Some((
+            slot.get_or_insert_with(|| Gather::Open(Box::default())),
+            opened,
+        ))
+    }
+
+    fn get(&self, seq: u32) -> Option<&Gather> {
+        self.slots
+            .get(seq.wrapping_sub(self.base) as usize)
+            .and_then(Option::as_ref)
+    }
+
+    fn get_mut(&mut self, seq: u32) -> Option<&mut Gather> {
+        self.slots
+            .get_mut(seq.wrapping_sub(self.base) as usize)
+            .and_then(Option::as_mut)
+    }
+
+    /// Drop `seq`'s gather, trimming holes off both ends; the last
+    /// removal frees the storage, and a ring left at a quarter of its
+    /// capacity gives half of it back (so one far seq, forged or not,
+    /// cannot pin a busy flow's storage at the window's size).
+    fn remove(&mut self, seq: u32) {
+        if let Some(slot) = self.slots.get_mut(seq.wrapping_sub(self.base) as usize) {
+            *slot = None;
+        }
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base = self.base.wrapping_add(1);
+        }
+        while let Some(None) = self.slots.back() {
+            self.slots.pop_back();
+        }
+        if self.slots.is_empty() {
+            self.slots = VecDeque::new();
+        } else if self.slots.capacity() > 4 * self.slots.len() {
+            self.slots.shrink_to(2 * self.slots.len());
+        }
+    }
+}
+
+/// Setup-phase gathering: the packets received so far, by parent, and
+/// the data that raced ahead of them. Cloning a [`Packet`] into the
+/// gather is O(1) — the wire buffer is shared, not copied.
 #[derive(Clone, Debug)]
 struct SetupGather {
     first_seen: Tick,
     packets: HashMap<OverlayAddr, Packet>,
-    flushed: bool,
+    /// Data packets buffered until the flow is established.
+    pending: Vec<(OverlayAddr, Packet)>,
 }
 
 /// Pending authenticated re-setup of an established flow (source-side
@@ -375,6 +479,8 @@ struct ResetupGather {
 /// An established flow.
 #[derive(Clone, Debug)]
 struct ActiveFlow {
+    /// The decoded info; its slice-map is dropped once the setup has
+    /// been forwarded (nothing else reads it).
     info: NodeInfo,
     /// Cached sealing state for the flow's secret key (subkeys + HMAC
     /// midstates derived once at establishment). A repair re-setup
@@ -383,12 +489,12 @@ struct ActiveFlow {
     sealer: SealingKey,
     last_activity: Tick,
     /// Forward data gathers by seq.
-    data: HashMap<u32, DataGather>,
+    data: GatherStore,
     /// Reverse data gathers by seq.
-    reverse: HashMap<u32, DataGather>,
-    /// Seqs already delivered to the application (receiver flows);
+    reverse: GatherStore,
+    /// Seqs already delivered to the application — receiver flows only;
     /// outlives the per-seq gathers so replays never double-deliver.
-    delivered: ReplayGuard,
+    delivered: Option<Box<ReplayGuard>>,
     /// Last tick each parent was heard from (data, keepalive or
     /// control), parallel to `info.parents`.
     last_heard: Vec<Tick>,
@@ -422,7 +528,7 @@ impl ActiveFlow {
 
 #[derive(Clone, Debug)]
 enum FlowState {
-    Gathering(SetupGather, Vec<(OverlayAddr, Packet)>),
+    Gathering(Box<SetupGather>),
     Active(Box<ActiveFlow>),
     /// Establishment failed; swallow traffic until GC.
     Dead(Tick),
@@ -582,6 +688,18 @@ impl RelayShard {
         self.wheel.len()
     }
 
+    /// Gather storage, in entries, held across every flow's stores.
+    #[cfg(test)]
+    pub(crate) fn gather_capacity(&self) -> usize {
+        self.flows
+            .values()
+            .map(|state| match state {
+                FlowState::Active(a) => a.data.slots.capacity() + a.reverse.slots.capacity(),
+                _ => 0,
+            })
+            .sum()
+    }
+
     /// The decoded info of an established flow, if any (used by drivers
     /// to e.g. discover that this node is a destination).
     pub fn flow_info(&self, flow: FlowId) -> Option<&NodeInfo> {
@@ -598,9 +716,19 @@ impl RelayShard {
     /// replay — the refused chunk would otherwise be lost for good.
     pub fn forget_delivery(&mut self, flow: FlowId, seq: u32) {
         if let Some(FlowState::Active(active)) = self.flows.get_mut(&flow) {
-            active.delivered.remove(seq);
-            if let Some(gather) = active.data.get_mut(&seq) {
-                gather.delivered = false;
+            if let Some(guard) = active.delivered.as_deref_mut() {
+                guard.remove(seq);
+            }
+            // A tombstone now stands for an undelivered seq: reopen it
+            // (flushed) so late slices can still complete the delivery.
+            if let Some(gather) = active.data.get_mut(seq) {
+                if let Gather::Done(heard) = *gather {
+                    *gather = Gather::Open(Box::new(DataGather {
+                        heard,
+                        flushed: true,
+                        ..DataGather::default()
+                    }));
+                }
             }
         }
     }
@@ -627,11 +755,7 @@ impl RelayShard {
         for &(_, deadline) in &expired {
             match deadline {
                 Deadline::SetupFlush(flow) => {
-                    let overdue = matches!(
-                        self.flows.get(&flow),
-                        Some(FlowState::Gathering(g, _)) if !g.flushed
-                    );
-                    if overdue {
+                    if matches!(self.flows.get(&flow), Some(FlowState::Gathering(_))) {
                         out.merge(self.try_establish(now, flow, true));
                     }
                 }
@@ -782,7 +906,7 @@ impl RelayShard {
             return None;
         };
         let gathers = if reverse { &active.reverse } else { &active.data };
-        gathers.get(&seq).map(|g| g.flushed)
+        gathers.get(seq).map(Gather::flushed)
     }
 
     /// Drop a gather's per-seq state. Very late slices for the seq will
@@ -796,7 +920,7 @@ impl RelayShard {
             } else {
                 &mut active.data
             };
-            gathers.remove(&seq);
+            gathers.remove(seq);
         }
     }
 
@@ -806,7 +930,7 @@ impl RelayShard {
         let ttl = self.config.flow_ttl_ms;
         let due = match self.flows.get(&flow) {
             None => return, // already evicted or re-established
-            Some(FlowState::Gathering(g, _)) => g.first_seen.plus(ttl),
+            Some(FlowState::Gathering(g)) => g.first_seen.plus(ttl),
             Some(FlowState::Active(a)) => a.last_activity.plus(ttl),
             Some(FlowState::Dead(t)) => t.plus(ttl),
         };
@@ -835,11 +959,7 @@ impl RelayShard {
         let at_capacity = self.flows.len() >= self.config.max_flows;
         match self.flows.entry(flow) {
             Entry::Occupied(mut e) => match e.get_mut() {
-                FlowState::Gathering(g, _) => {
-                    if g.flushed {
-                        self.stats.drops += 1;
-                        return RelayOutput::default();
-                    }
+                FlowState::Gathering(g) => {
                     // One shape per gather: a forged packet with a
                     // different geometry must not poison slot indexing
                     // when the gather is forwarded.
@@ -868,10 +988,10 @@ impl RelayShard {
                 let mut g = SetupGather {
                     first_seen: now,
                     packets: HashMap::new(),
-                    flushed: false,
+                    pending: Vec::new(),
                 };
                 g.packets.insert(from, packet.clone());
-                v.insert(FlowState::Gathering(g, Vec::new()));
+                v.insert(FlowState::Gathering(Box::new(g)));
                 // Register the flow's deadlines once, at admission.
                 self.wheel.schedule(
                     now.plus(self.config.setup_flush_ms),
@@ -887,7 +1007,7 @@ impl RelayShard {
         // when the full parent set has arrived.
         let d = packet.header.d as usize;
         let have = match self.flows.get(&flow) {
-            Some(FlowState::Gathering(g, _)) => g.packets.len(),
+            Some(FlowState::Gathering(g)) => g.packets.len(),
             _ => 0,
         };
         if have >= d {
@@ -902,12 +1022,9 @@ impl RelayShard {
     fn try_establish(&mut self, now: Tick, flow: FlowId, force: bool) -> RelayOutput {
         // Phase 1: read-only analysis of the gather (no packet clones).
         let (first_seen, decision) = {
-            let Some(FlowState::Gathering(gather, _)) = self.flows.get(&flow) else {
+            let Some(FlowState::Gathering(gather)) = self.flows.get(&flow) else {
                 return RelayOutput::default();
             };
-            if gather.flushed {
-                return RelayOutput::default();
-            }
             let Some(first) = gather.packets.values().next() else {
                 return RelayOutput::default();
             };
@@ -952,16 +1069,21 @@ impl RelayShard {
                 }
                 RelayOutput::default()
             }
-            Establish::Go(info) => {
+            Establish::Go(mut info) => {
                 // Take ownership of the gathered packets — no clone.
-                let Some(FlowState::Gathering(gather, pending)) = self.flows.remove(&flow) else {
+                let Some(FlowState::Gathering(gather)) = self.flows.remove(&flow) else {
                     return RelayOutput::default();
                 };
+                let SetupGather {
+                    packets, pending, ..
+                } = *gather;
                 let mut out = RelayOutput {
                     established: vec![(flow, info.receiver)],
                     ..RelayOutput::default()
                 };
-                out.sends = self.forward_setup(&info, &gather.packets);
+                out.sends = self.forward_setup(&info, &packets);
+                // The slice-map only routes the setup just forwarded.
+                info.slice_map = Vec::new();
                 self.stats.packets_out += out.sends.len() as u64;
                 self.stats.flows_established += 1;
 
@@ -971,15 +1093,16 @@ impl RelayShard {
                 let parent_count = info.parents.len();
                 let has_children = !info.children.is_empty();
                 let sealer = SealingKey::new(&info.secret_key);
+                let delivered = info.receiver.then(Box::default);
                 self.flows.insert(
                     flow,
                     FlowState::Active(Box::new(ActiveFlow {
                         info: *info,
                         sealer,
                         last_activity: now,
-                        data: HashMap::new(),
-                        reverse: HashMap::new(),
-                        delivered: ReplayGuard::default(),
+                        data: GatherStore::default(),
+                        reverse: GatherStore::default(),
+                        delivered,
                         last_heard: vec![now; parent_count],
                         dead_parents: 0,
                         reported_dead: 0,
@@ -1284,12 +1407,12 @@ impl RelayShard {
         }
         match self.flows.get_mut(&flow) {
             Some(FlowState::Active(_)) => self.accumulate_data(now, flow, from, packet, false),
-            Some(FlowState::Gathering(_, pending)) => {
+            Some(FlowState::Gathering(g)) => {
                 // Data raced ahead of setup; buffer a bounded amount
                 // (an O(1) buffer clone — the wire bytes are shared).
-                if pending.len() < self.config.max_pending_data {
+                if g.pending.len() < self.config.max_pending_data {
                     // lint: allow(hot-path) — Packet clones share the wire Bytes buffer: O(1) refcount bump, no copy.
-                    pending.push((from, packet.clone()));
+                    g.pending.push((from, packet.clone()));
                 } else {
                     self.stats.drops += 1;
                 }
@@ -1329,17 +1452,16 @@ impl RelayShard {
             // legitimate parent also refreshes its liveness slot — and
             // revives itself if it had been declared dead (a repaired or
             // merely slow neighbour rejoins the expected set).
-            if is_reverse {
-                if !active.info.children.iter().any(|&(a, _)| a == from) {
-                    self.stats.drops += 1;
-                    return RelayOutput::default();
-                }
+            let neighbours = if is_reverse {
+                &active.info.children
             } else {
-                let Some(idx) = active.info.parents.iter().position(|&(a, _)| a == from)
-                else {
-                    self.stats.drops += 1;
-                    return RelayOutput::default();
-                };
+                &active.info.parents
+            };
+            let Some(idx) = neighbours.iter().position(|&(a, _)| a == from) else {
+                self.stats.drops += 1;
+                return RelayOutput::default();
+            };
+            if !is_reverse {
                 active.last_heard[idx] = now;
                 if active.dead_parents & (1 << idx) != 0 {
                     active.revive_parent(idx);
@@ -1367,48 +1489,66 @@ impl RelayShard {
             };
             // Replay of a seq this destination already delivered: even if
             // the per-seq gather was reaped, the guard remembers.
-            let already_delivered =
-                !is_reverse && active.info.receiver && active.delivered.contains(seq);
-            let info = &active.info;
-            let d = info.d as usize;
+            let already_delivered = !is_reverse
+                && active
+                    .delivered
+                    .as_deref()
+                    .is_some_and(|guard| guard.contains(seq));
+            let receiver = active.info.receiver;
+            let d = active.info.d as usize;
             let gathers = if is_reverse {
                 &mut active.reverse
             } else {
                 &mut active.data
             };
-            let gather = match gathers.entry(seq) {
-                Entry::Occupied(e) => e.into_mut(),
-                Entry::Vacant(v) => {
-                    // First slice of this message: register its flush
-                    // deadline once; the wheel will fire it if the
-                    // parent set never completes.
-                    self.wheel.schedule(
-                        now.plus(data_flush_ms),
-                        Deadline::DataFlush {
-                            flow,
-                            seq,
-                            reverse: is_reverse,
-                        },
-                    );
-                    v.insert(DataGather::new())
-                }
+            let Some((gather, opened)) = gathers.open(seq) else {
+                // Far outside the live seqs: forged, or hopelessly late.
+                self.stats.drops += 1;
+                return RelayOutput::default();
             };
-            if gather.flushed && (gather.delivered || already_delivered) {
+            if opened {
+                // First slice of this message: register its flush
+                // deadline once; the wheel will fire it if the parent
+                // set never completes.
+                self.wheel.schedule(
+                    now.plus(data_flush_ms),
+                    Deadline::DataFlush {
+                        flow,
+                        seq,
+                        reverse: is_reverse,
+                    },
+                );
+            }
+            if gather.flushed() && already_delivered {
                 self.stats.drops += 1;
                 // A replayed seq on a receiver flow means the sender
                 // did not hear our delivery state: surface it so a
                 // colocated destination session can re-acknowledge.
                 let mut out = RelayOutput::default();
-                if active.info.receiver && !is_reverse {
+                if receiver && !is_reverse {
                     out.replayed.push((flow, seq));
                 }
                 return out;
             }
-            if !gather.heard.insert(from) {
-                // Duplicate from the same neighbour.
-                self.stats.drops += 1;
-                return RelayOutput::default();
-            }
+            let bit = 1u64 << idx;
+            let gather = match gather {
+                Gather::Open(g) if g.heard & bit == 0 => g,
+                Gather::Done(heard) if *heard & bit == 0 => {
+                    // A neighbour first heard after the flush: nothing
+                    // is left to forward its slices to.
+                    *heard |= bit;
+                    if (packet.header.slot_len as usize) < d + 4 {
+                        self.stats.drops += 1;
+                    }
+                    return RelayOutput::default();
+                }
+                _ => {
+                    // Duplicate from the same neighbour.
+                    self.stats.drops += 1;
+                    return RelayOutput::default();
+                }
+            };
+            gather.heard |= bit;
             let slot_len = packet.header.slot_len as usize;
             if slot_len >= d + 4 {
                 for i in 0..packet.header.slot_count as usize {
@@ -1433,7 +1573,7 @@ impl RelayShard {
                         .first()
                         .is_none_or(|s| s.len() == body.len());
                     if consistent {
-                        gather.origins.push(from);
+                        gather.origins.push(idx as u8);
                         gather.slices.push(body);
                     } else {
                         self.stats.drops += 1;
@@ -1445,7 +1585,7 @@ impl RelayShard {
                 // neighbour was still heard.
                 self.stats.drops += 1;
             }
-            gather.heard.len() >= expected
+            gather.heard.count_ones() as usize >= expected
         };
         if complete {
             self.flush_data(now, flow, seq, is_reverse)
@@ -1454,7 +1594,8 @@ impl RelayShard {
         }
     }
 
-    /// Forward (and, at the destination, deliver) a gathered data message.
+    /// Forward (and, at the destination, deliver) a gathered data
+    /// message, then shrink its gather to a tombstone.
     // lint: hot-path
     fn flush_data(&mut self, _now: Tick, flow: FlowId, seq: u32, is_reverse: bool) -> RelayOutput {
         // Split the borrow: the flow entry, the stats, the RNG, the
@@ -1479,7 +1620,10 @@ impl RelayShard {
             ..
         } = &mut **active;
         let gathers = if is_reverse { reverse } else { data };
-        let Some(gather) = gathers.get_mut(&seq) else {
+        let Some(entry) = gathers.get_mut(seq) else {
+            return RelayOutput::default();
+        };
+        let Gather::Open(gather) = entry else {
             return RelayOutput::default();
         };
         let d = info.d as usize;
@@ -1489,44 +1633,61 @@ impl RelayShard {
         // views are materialized once per *message*, never per packet;
         // the flow-level replay guard enforces at-most-once even after
         // this gather's state has been reaped.
-        if info.receiver && !is_reverse && !gather.delivered && delivered.contains(seq) {
-            // A retransmission completed a fresh gather for a seq the
-            // guard already delivered (its tombstone was reaped): the
-            // sender is retrying because an ack was lost.
-            out.replayed.push((flow, seq));
-        }
-        if info.receiver
-            && !is_reverse
-            && !gather.delivered
-            && !delivered.contains(seq)
-            && gather.slices.len() >= d
-        {
-            let bare: Vec<InfoSlice> = gather
-                .slices
-                .iter()
-                .filter_map(|b| InfoSlice::from_bytes(d, b.len() - d, b))
-                // lint: allow(hot-path) — destination delivery: d slice views built once per *delivered message*, not per packet.
-                .collect();
-            if let Ok(sealed) = coder::decode(&bare, d) {
-                if let Ok(plaintext) = sealer.open_owned(sealed) {
-                    gather.delivered = true;
-                    delivered.insert(seq);
-                    stats.messages_received += 1;
-                    out.received.push(ReceivedData {
-                        flow,
-                        seq,
-                        plaintext,
-                    });
-                }
+        let guard = if is_reverse {
+            None
+        } else {
+            delivered.as_deref_mut()
+        };
+        let undelivered = match guard {
+            None => false,
+            Some(guard) if guard.contains(seq) => {
+                // A retransmission completed a fresh gather for a seq the
+                // guard already delivered (its tombstone was reaped): the
+                // sender is retrying because an ack was lost.
+                out.replayed.push((flow, seq));
+                false
             }
-        }
+            Some(guard) => {
+                let mut decoded = false;
+                if gather.slices.len() >= d {
+                    let bare: Vec<InfoSlice> = gather
+                        .slices
+                        .iter()
+                        .filter_map(|b| InfoSlice::from_bytes(d, b.len() - d, b))
+                        // lint: allow(hot-path) — destination delivery: d slice views built once per *delivered message*, not per packet.
+                        .collect();
+                    if let Ok(sealed) = coder::decode(&bare, d) {
+                        if let Ok(plaintext) = sealer.open_owned(sealed) {
+                            guard.insert(seq);
+                            decoded = true;
+                            stats.messages_received += 1;
+                            out.received.push(ReceivedData {
+                                flow,
+                                seq,
+                                plaintext,
+                            });
+                        }
+                    }
+                }
+                !decoded
+            }
+        };
 
         if gather.flushed {
+            if !undelivered {
+                *entry = Gather::Done(gather.heard);
+            }
             return out;
         }
-        gather.flushed = true;
         let origins = std::mem::take(&mut gather.origins);
         let slices = std::mem::take(&mut gather.slices);
+        // Only a receiver still waiting to deliver keeps the gather
+        // open; everything else shrinks to its heard-set.
+        if undelivered {
+            gather.flushed = true;
+        } else {
+            *entry = Gather::Done(gather.heard);
+        }
         if slices.is_empty() {
             return out;
         }
@@ -1579,8 +1740,7 @@ impl RelayShard {
             } else {
                 info.data_map
                     .get(j)
-                    .and_then(|&p| info.parents.get(p as usize))
-                    .and_then(|&(want, _)| origins.iter().position(|&o| o == want))
+                    .and_then(|&p| origins.iter().position(|&o| o == p))
             };
             match picked {
                 Some(i) => slot[..d + block_len].copy_from_slice(&slices[i]),
@@ -1622,7 +1782,7 @@ impl RelayShard {
 
 /// FNV-1a over a byte string — the cheap fingerprint behind the per-flow
 /// FLOW_FAILED dedup (collisions only delay a duplicate report's drop).
-fn hash_bytes(bytes: &[u8]) -> u64 {
+pub(crate) fn hash_bytes(bytes: &[u8]) -> u64 {
     let mut h = 0xCBF2_9CE4_8422_2325u64;
     for &b in bytes {
         h ^= b as u64;
@@ -1734,6 +1894,284 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A data gather's tombstone swallows late copies for exactly as
+    /// long as its flush deadlines say: until first-slice +
+    /// `data_flush_ms` after a completion flush, until first-slice +
+    /// 2 × `data_flush_ms` after a timeout flush. After that the seq
+    /// gathers afresh and is forwarded again — but the destination
+    /// never re-delivers it, and every late copy surfaces as
+    /// `replayed`. (Session retransmits are timed against this.)
+    #[test]
+    fn gather_tombstone_lifetime_follows_the_flush_deadlines() {
+        use crate::source::SourceSession;
+        use slicing_graph::{DestPlacement, GraphParams};
+
+        const F: u64 = 200;
+        let config = RelayConfig {
+            data_flush_ms: F,
+            ..RelayConfig::default()
+        };
+        // The destination sits at stage 1, so the source's own data
+        // packets are its parents' slices; d′ = 3 > d leaves room for a
+        // gather that times out yet still decodes.
+        let pseudo = [OverlayAddr(501), OverlayAddr(502), OverlayAddr(503)];
+        let candidates: Vec<OverlayAddr> = (0..16).map(|i| OverlayAddr(20_000 + i)).collect();
+        let params = GraphParams::new(2, 2)
+            .with_paths(3)
+            .with_dest_placement(DestPlacement::Stage(1));
+        let (mut source, setup) =
+            SourceSession::establish(params, &pseudo, &candidates, OverlayAddr(1), 7).unwrap();
+        let dest = source.graph().dest;
+        let me = source.graph().dest_addr();
+        let flow = source.graph().flow_ids[dest.stage][dest.index];
+        let mut relay = ShardedRelay::with_config(me, 7, config, 1);
+        for instr in setup.iter().filter(|i| i.to == me) {
+            relay.handle_packet(Tick(0), instr.from, &instr.packet);
+        }
+        assert!(relay.flow_info(flow).expect("established").receiver);
+        let children = relay.flow_info(flow).unwrap().children.len();
+        let mut message = |body: &[u8]| -> Vec<SendInstr> {
+            let (_, sends) = source.send_message(body).unwrap();
+            sends.into_iter().filter(|s| s.to == me).collect()
+        };
+        let feed = |relay: &mut ShardedRelay, at: u64, p: &SendInstr| {
+            relay.handle_packet(Tick(at), p.from, &p.packet)
+        };
+        // A late copy inside the tombstone's life: dropped, surfaced as
+        // a replay, nothing forwarded or delivered.
+        let swallowed = |relay: &mut ShardedRelay, at: u64, p: &SendInstr, seq: u32| {
+            let drops = relay.stats().drops;
+            let out = feed(relay, at, p);
+            assert!(out.sends.is_empty() && out.received.is_empty(), "t={at}");
+            assert_eq!(out.replayed, vec![(flow, seq)], "t={at}");
+            assert_eq!(relay.stats().drops, drops + 1, "t={at}");
+        };
+        // Past the tombstone: the seq gathers afresh from all parents
+        // and is forwarded, but not delivered twice.
+        let regathered = |relay: &mut ShardedRelay, at: u64, ps: &[SendInstr], seq: u32| {
+            let mut sends = 0;
+            let mut replayed = Vec::new();
+            for p in ps {
+                let out = feed(relay, at, p);
+                assert!(out.received.is_empty(), "re-delivered at t={at}");
+                sends += out.sends.len();
+                replayed.extend(out.replayed);
+            }
+            assert_eq!(sends, children, "forwarded again at t={at}");
+            assert_eq!(replayed, vec![(flow, seq)], "t={at}");
+        };
+
+        // Seq 0, completion flush: first slice at t0, the last at t0+30.
+        let t0 = 1_000;
+        let seq0 = message(b"complete");
+        assert_eq!(seq0.len(), 3);
+        assert!(feed(&mut relay, t0, &seq0[0]).received.is_empty());
+        feed(&mut relay, t0 + 10, &seq0[1]);
+        let out = feed(&mut relay, t0 + 30, &seq0[2]);
+        assert_eq!(out.received.len(), 1);
+        assert_eq!(out.sends.len(), children);
+        swallowed(&mut relay, t0 + 40, &seq0[0], 0);
+        relay.poll(Tick(t0 + F - 1));
+        swallowed(&mut relay, t0 + F - 1, &seq0[2], 0);
+        relay.poll(Tick(t0 + F));
+        regathered(&mut relay, t0 + F, &seq0, 0);
+
+        // Seq 1, timeout flush: two of three parents, so the gather
+        // waits for the deadline, decodes and forwards then.
+        let t1 = 2_000;
+        let seq1 = message(b"timed out");
+        feed(&mut relay, t1, &seq1[0]);
+        feed(&mut relay, t1 + 20, &seq1[1]);
+        relay.poll(Tick(t1 + F - 1));
+        let out = relay.poll(Tick(t1 + F));
+        assert_eq!(out.received.len(), 1, "the timeout flush delivers");
+        assert_eq!(out.sends.len(), children);
+        swallowed(&mut relay, t1 + F, &seq1[0], 1);
+        relay.poll(Tick(t1 + 2 * F - 1));
+        swallowed(&mut relay, t1 + 2 * F - 1, &seq1[1], 1);
+        swallowed(&mut relay, t1 + 2 * F - 1, &seq1[2], 1);
+        relay.poll(Tick(t1 + 2 * F));
+        regathered(&mut relay, t1 + 2 * F, &seq1, 1);
+        assert_eq!(relay.stats().messages_received, 2);
+    }
+
+    /// Once traffic stops and every gather's last deadline
+    /// (first slice + 2 × `data_flush_ms`) has passed, no flow holds
+    /// any gather storage — completion-flushed, timed-out, forward and
+    /// reverse alike.
+    #[test]
+    fn idle_flows_hold_no_gather_storage() {
+        use crate::session::{DestSession, SessionConfig};
+        use crate::source::SourceSession;
+        use crate::testnet::TestNet;
+        use slicing_graph::{DestPlacement, GraphParams};
+
+        const F: u64 = 300;
+        let config = RelayConfig {
+            data_flush_ms: F,
+            ..RelayConfig::default()
+        };
+        let pseudo = [OverlayAddr(501), OverlayAddr(502), OverlayAddr(503)];
+        let candidates: Vec<OverlayAddr> = (0..16).map(|i| OverlayAddr(20_000 + i)).collect();
+        let dest = OverlayAddr(1);
+        let mut nodes = candidates.clone();
+        nodes.push(dest);
+        let params = GraphParams::new(3, 2)
+            .with_paths(3)
+            .with_dest_placement(DestPlacement::LastStage);
+        let (mut source, setup) =
+            SourceSession::establish(params, &pseudo, &candidates, dest, 3).unwrap();
+        let mut net = TestNet::with_config(&nodes, 3, config);
+        net.submit(setup);
+        net.run_to_quiescence(Some(&mut source));
+        for m in 0..40u8 {
+            let (_, sends) = source.send_message(&[m; 50]).unwrap();
+            // Every fifth message misses one parent of a stage-1 relay,
+            // so that relay's gather times out.
+            let first = source.graph().stages[1][0];
+            let keep = |s: &SendInstr| m % 5 != 0 || s.to != first || s.from != pseudo[2];
+            net.submit(sends.into_iter().filter(keep).collect());
+            net.run_to_quiescence(Some(&mut source));
+            net.advance(10);
+        }
+        let at = source.graph().dest;
+        let dest_flow = source.graph().flow_ids[at.stage][at.index];
+        let info = net.relays[&dest].flow_info(dest_flow).unwrap().clone();
+        let mut replies = DestSession::new(dest, dest_flow, info, SessionConfig::default(), 3);
+        for r in 0..5u8 {
+            let (_, sends) = replies.reply(net.now, &[r; 30]).unwrap();
+            net.submit(sends);
+            net.run_to_quiescence(Some(&mut source));
+        }
+        let held = |net: &TestNet| -> usize {
+            net.relays.values().map(ShardedRelay::gather_capacity).sum()
+        };
+        assert!(held(&net) > 0, "recent seqs still hold their tombstones");
+        // Poll at the daemons' cadence until 2 × F has passed since the
+        // last slice: every deadline, re-armed ones included, has fired.
+        for _ in 0..=(2 * F / 50) {
+            net.advance(50);
+            net.run_to_quiescence(Some(&mut source));
+        }
+        assert_eq!(net.messages_for(dest).len(), 40);
+        assert_eq!(source.pop_replies().len(), 5);
+        assert_eq!(held(&net), 0, "an idle flow holds gather storage");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// The store agrees with a map model under random opens,
+        /// flushes, removals, late duplicates and far seqs, and its
+        /// storage spans exactly its live seqs (none once it is empty).
+        #[test]
+        fn gather_store_matches_a_map_model(
+            ops in proptest::collection::vec(proptest::any::<u32>(), 1..120)
+        ) {
+            use std::collections::BTreeMap;
+            const BASE: u32 = 1 << 24;
+            let mut store = GatherStore::default();
+            // seq → (heard, flushed)
+            let mut model: BTreeMap<u32, (u64, bool)> = BTreeMap::new();
+            for op in ops {
+                let pick = (op >> 6) % 40;
+                let seq = match (op >> 3) % 8 {
+                    // Just past either edge of the window.
+                    6 => BASE + GATHER_WINDOW - 2 + pick % 4,
+                    7 => BASE - GATHER_WINDOW + 38 + pick % 4,
+                    _ => BASE + pick,
+                };
+                match op % 8 {
+                    0..=3 => {
+                        let neighbour = (op >> 12) % 64;
+                        let lo = model.keys().next().map_or(seq, |&lo| lo.min(seq));
+                        let hi = model.keys().last().map_or(seq, |&hi| hi.max(seq));
+                        let fits = hi - lo < GATHER_WINDOW;
+                        match store.open(seq) {
+                            None => proptest::prop_assert!(!fits, "seq {} refused", seq),
+                            Some((gather, opened)) => {
+                                proptest::prop_assert!(fits, "seq {} admitted", seq);
+                                proptest::prop_assert_eq!(opened, !model.contains_key(&seq));
+                                let heard = match gather {
+                                    Gather::Open(g) => &mut g.heard,
+                                    Gather::Done(h) => h,
+                                };
+                                *heard |= 1 << neighbour;
+                                model.entry(seq).or_insert((0, false)).0 |= 1 << neighbour;
+                            }
+                        }
+                    }
+                    4 | 5 => {
+                        if let Some(gather) = store.get_mut(seq) {
+                            if let Gather::Open(g) = gather {
+                                *gather = Gather::Done(g.heard);
+                            }
+                        }
+                        if let Some(entry) = model.get_mut(&seq) {
+                            entry.1 = true;
+                        }
+                    }
+                    _ => {
+                        store.remove(seq);
+                        model.remove(&seq);
+                    }
+                }
+                for (&s, &want) in &model {
+                    let got = match store.get(s) {
+                        Some(Gather::Open(g)) => Some((g.heard, false)),
+                        Some(Gather::Done(h)) => Some((*h, true)),
+                        None => None,
+                    };
+                    proptest::prop_assert_eq!(got, Some(want), "seq {}", s);
+                }
+                let live = store.slots.iter().filter(|s| s.is_some()).count();
+                proptest::prop_assert_eq!(live, model.len());
+                match (model.keys().next(), model.keys().last()) {
+                    (Some(&lo), Some(&hi)) => {
+                        proptest::prop_assert_eq!(store.base, lo);
+                        proptest::prop_assert_eq!(store.slots.len() as u32, hi - lo + 1);
+                    }
+                    _ => proptest::prop_assert_eq!(store.slots.capacity(), 0),
+                }
+            }
+        }
+    }
+
+    /// Seqs are compared modulo 2³²: a store straddling the wrap keeps
+    /// working, in either direction.
+    #[test]
+    fn gather_store_handles_seq_wrap() {
+        let mut store = GatherStore::default();
+        for s in [u32::MAX - 1, u32::MAX, 0, 1] {
+            assert!(store.open(s).expect("inside the window").1);
+        }
+        assert_eq!(store.slots.len(), 4);
+        assert!(!store.open(0).unwrap().1, "already open");
+        assert!(store.open(u32::MAX - 3).is_some(), "behind the base");
+        assert_eq!(store.base, u32::MAX - 3);
+        assert!(store.open(1 + GATHER_WINDOW).is_none(), "far ahead");
+        for s in [u32::MAX - 3, u32::MAX - 1, u32::MAX, 0, 1] {
+            store.remove(s);
+        }
+        assert_eq!(store.slots.capacity(), 0);
+    }
+
+    /// A far seq stretches the ring for as long as it lives, not for
+    /// as long as the flow stays busy.
+    #[test]
+    fn gather_store_gives_back_a_stretched_ring() {
+        let mut store = GatherStore::default();
+        for s in 0..8 {
+            store.open(s);
+        }
+        let far = GATHER_WINDOW - 1;
+        assert!(store.open(far).is_some());
+        assert!(store.slots.capacity() >= GATHER_WINDOW as usize);
+        store.remove(far);
+        assert_eq!(store.slots.len(), 8);
+        assert!(store.slots.capacity() <= 32, "{}", store.slots.capacity());
     }
 
     #[test]

@@ -243,6 +243,12 @@ impl ShardedRelay {
         out
     }
 
+    /// Gather storage, in entries, held across every shard's flows.
+    #[cfg(test)]
+    pub(crate) fn gather_capacity(&self) -> usize {
+        self.shards.iter().map(RelayShard::gather_capacity).sum()
+    }
+
     /// Split into the pieces the async runtime owns separately: the
     /// shards (one per worker task), the router (for the ingress
     /// dispatcher) and the shared stats.

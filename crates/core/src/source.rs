@@ -218,9 +218,11 @@ impl SourceSession {
         seed: u64,
     ) -> Result<(SourceSession, Vec<SendInstr>), GraphError> {
         let mut rng = StdRng::seed_from_u64(seed);
-        let graph = build::build(params, pseudo_sources, candidates, dest, &mut rng)?;
-        let setup = graph.setup_packets(&mut rng);
-        let dest_sealer = SealingKey::new(&graph.dest_key);
+        // The blueprint becomes the setup packets and is dropped here:
+        // the session keeps only what data, control and repair read.
+        let (graph, blueprint) = build::build(params, pseudo_sources, candidates, dest, &mut rng)?;
+        let setup = blueprint.setup_packets(&graph);
+        let dest_sealer = SealingKey::new(graph.dest_key());
         Ok((
             SourceSession {
                 graph,
@@ -449,11 +451,10 @@ impl SourceSession {
         if self.issued_sealers.is_empty() {
             self.issued_sealers = self
                 .graph
-                .infos
+                .keys
                 .iter()
-                .skip(1)
-                .flat_map(|stage| stage.iter())
-                .map(|info| SealingKey::new(&info.secret_key))
+                .flatten()
+                .map(SealingKey::new)
                 .collect();
         }
         for sealer in &self.issued_sealers {
@@ -553,7 +554,7 @@ impl SourceSession {
     /// the graph (or themselves reported dead) are skipped.
     pub fn repair(&mut self, spares: &[OverlayAddr]) -> Result<Vec<SendInstr>, GraphError> {
         let failed = std::mem::take(&mut self.failed);
-        let (graph, affected) =
+        let (graph, blueprint, affected) =
             match build::rebuild_excluding(&self.graph, &failed, spares, &mut self.rng) {
                 Ok(ok) => ok,
                 Err(e) => {
@@ -569,7 +570,7 @@ impl SourceSession {
             // replacement, establishes from): correct parents/children
             // and maps, but no downstream slices to forward — repair
             // setup is delivered directly to each affected node.
-            let mut info: NodeInfo = graph.infos[pos.stage][pos.index].clone();
+            let mut info: NodeInfo = blueprint.infos[pos.stage][pos.index].clone();
             info.out_real_slots = 0;
             info.slice_map = Vec::new();
             let coded = coder::encode(&info.encode(), d, dp, &mut self.rng);
@@ -599,7 +600,7 @@ impl SourceSession {
         // The repair re-keyed part of the graph: rebuild the cached
         // destination sealer and drop the issued-key sealers (rebuilt
         // lazily from the new key set on the next report).
-        self.dest_sealer = SealingKey::new(&self.graph.dest_key);
+        self.dest_sealer = SealingKey::new(self.graph.dest_key());
         self.issued_sealers.clear();
         // Replay the recent message window over the repaired routes.
         let log: Vec<(u32, Vec<u8>)> = self.sent_log.iter().cloned().collect();

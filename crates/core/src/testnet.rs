@@ -14,7 +14,7 @@ use rand::{Rng, SeedableRng};
 use slicing_graph::packets::SendInstr;
 use slicing_graph::OverlayAddr;
 
-use crate::relay::{ReceivedData, RelayConfig};
+use crate::relay::{hash_bytes, ReceivedData, RelayConfig};
 use crate::shard::ShardedRelay;
 use crate::source::SourceSession;
 use crate::time::Tick;
@@ -42,6 +42,10 @@ pub struct TestNet {
     /// Setup packets delivered per relay address — lets churn tests
     /// assert a repair re-established only the affected nodes.
     pub setup_delivered: HashMap<OverlayAddr, u64>,
+    /// A fold of every transported packet's wire bytes, in delivery
+    /// order: a seeded run's fingerprint, so a refactor can prove it
+    /// changed no byte on the wire and no RNG draw.
+    pub wire_digest: u64,
     rng: StdRng,
 }
 
@@ -79,6 +83,7 @@ impl TestNet {
             packets_transported: 0,
             bytes_transported: 0,
             setup_delivered: HashMap::new(),
+            wire_digest: 0,
             rng: StdRng::seed_from_u64(seed ^ 0xD15EA5E),
         }
     }
@@ -123,7 +128,9 @@ impl TestNet {
                 continue;
             }
             self.packets_transported += 1;
-            self.bytes_transported += instr.packet.encode().len() as u64;
+            let wire = instr.packet.encode();
+            self.bytes_transported += wire.len() as u64;
+            self.wire_digest = self.wire_digest.rotate_left(7) ^ hash_bytes(&wire);
 
             // Pseudo-source delivery (reverse path).
             if let Some(src) = source.as_deref_mut() {
@@ -151,10 +158,13 @@ impl TestNet {
         reverse_messages
     }
 
-    /// Advance virtual time and poll every live relay (fires timeouts).
+    /// Advance virtual time and poll every live relay (fires timeouts),
+    /// in address order so a seeded run queues the same packets in the
+    /// same order every time.
     pub fn advance(&mut self, ms: u64) {
         self.now = self.now.plus(ms);
-        let addrs: Vec<OverlayAddr> = self.relays.keys().copied().collect();
+        let mut addrs: Vec<OverlayAddr> = self.relays.keys().copied().collect();
+        addrs.sort_unstable();
         for addr in addrs {
             if self.failed.contains(&addr) {
                 continue;

@@ -88,25 +88,28 @@ impl std::error::Error for GraphError {}
 #[derive(Clone, Debug)]
 pub struct Holders {
     d_prime: usize,
-    /// `kappa[l][x]` — slice-index permutation per target (stage `l ≥ 1`).
-    kappa: Vec<Vec<Vec<usize>>>,
-    /// `gamma[l][m]` — offset per (target stage, path stage).
-    gamma: Vec<Vec<usize>>,
+    /// `κ_{l,x}(k)` at `((l − 1)·d′ + x)·d′ + k`: one slice-index
+    /// permutation per target (stage `l ≥ 1`).
+    kappa: Vec<u8>,
+    /// `γ_{l,m}` at `l(l − 1)/2 + m`: one offset per (target stage,
+    /// path stage `m < l`).
+    gamma: Vec<u8>,
 }
 
 impl Holders {
     fn generate<R: Rng + ?Sized>(length: usize, d_prime: usize, rng: &mut R) -> Self {
-        let mut kappa = vec![Vec::new()];
-        let mut gamma = vec![Vec::new()];
+        let mut kappa = Vec::with_capacity(length * d_prime * d_prime);
+        let mut gamma = Vec::with_capacity(length * (length + 1) / 2);
+        let mut perm: Vec<usize> = Vec::with_capacity(d_prime);
         for l in 1..=length {
-            let mut per_target = Vec::with_capacity(d_prime);
             for _ in 0..d_prime {
-                let mut perm: Vec<usize> = (0..d_prime).collect();
+                perm.clear();
+                perm.extend(0..d_prime);
                 perm.shuffle(rng);
-                per_target.push(perm);
+                // d′ ≤ 64 (`GraphParams::validate`): indices fit a byte.
+                kappa.extend(perm.iter().map(|&k| k as u8));
             }
-            kappa.push(per_target);
-            gamma.push((0..l).map(|_| rng.gen_range(0..d_prime)).collect());
+            gamma.extend((0..l).map(|_| rng.gen_range(0..d_prime) as u8));
         }
         Holders {
             d_prime,
@@ -121,7 +124,10 @@ impl Holders {
     /// Panics unless `1 ≤ l`, `m < l`, `x < d′`, `k < d′`.
     pub fn holder(&self, l: usize, x: usize, k: usize, m: usize) -> usize {
         assert!(l >= 1 && m < l && x < self.d_prime && k < self.d_prime);
-        (self.kappa[l][x][k] + x * m + self.gamma[l][m]) % self.d_prime
+        let dp = self.d_prime;
+        let kappa = self.kappa[((l - 1) * dp + x) * dp + k] as usize;
+        let gamma = self.gamma[l * (l - 1) / 2 + m] as usize;
+        (kappa + x * m + gamma) % dp
     }
 
     /// Full path of slice `k` of target `(l, x)`: holder indices at stages
@@ -131,7 +137,13 @@ impl Holders {
     }
 }
 
-/// A fully constructed forwarding graph, ready to emit setup packets.
+/// A constructed forwarding graph: what the source reads for the whole
+/// life of a session — to send data, to decode and authenticate reverse
+/// traffic, and to repair the graph around dead relays.
+///
+/// The per-relay infos and their coded slices are not kept here: they
+/// exist only to be sent once, and live in the [`Blueprint`] that
+/// [`build`] and [`rebuild_excluding`] return beside the graph.
 #[derive(Clone, Debug)]
 pub struct BuiltGraph {
     /// The parameters it was built with.
@@ -140,27 +152,33 @@ pub struct BuiltGraph {
     pub stages: Vec<Vec<OverlayAddr>>,
     /// The destination's position (stage ≥ 1).
     pub dest: NodePosition,
-    /// The destination's secret key (what the source encrypts data with).
-    pub dest_key: SymmetricKey,
     /// Forward flow-ids per relay: `flow_ids[stage][index]` (stage ≥ 1).
     pub flow_ids: Vec<Vec<FlowId>>,
     /// Reverse flow-ids per node, including stage 0 (where the source
     /// listens for reverse-path data).
     pub reverse_flow_ids: Vec<Vec<FlowId>>,
-    /// Per-relay info blobs: `infos[stage][index]` (stage ≥ 1).
-    pub infos: Vec<Vec<NodeInfo>>,
-    /// Per-relay hop transforms (duplicated from infos for source-side
-    /// wrapping).
+    /// Per-relay secret keys: `keys[stage][index]` (stage ≥ 1).
+    pub keys: Vec<Vec<SymmetricKey>>,
+    /// Per-relay hop transforms: `transforms[stage][index]` (stage ≥ 1).
     pub transforms: Vec<Vec<HopTransform>>,
-    /// Coded info slices per relay: `info_slices[stage][index][k]`.
-    pub info_slices: Vec<Vec<Vec<InfoSlice>>>,
     /// Slice-position bookkeeping.
     pub holders: Holders,
-    /// Codec block length of the info slices.
-    pub info_block_len: usize,
     /// Per-boundary offsets `h_m` for the static data-map
     /// (`slice (i + j + h_m) mod d′` crosses edge `(i, j)`).
     pub data_offsets: Vec<usize>,
+}
+
+/// The setup blueprint of one [`BuiltGraph`]: every relay's info and its
+/// `d′` coded slices. Transient — the source turns it into setup packets
+/// ([`Blueprint::setup_packets`]) and drops it.
+#[derive(Clone, Debug)]
+pub struct Blueprint {
+    /// Per-relay info blobs: `infos[stage][index]` (stage ≥ 1).
+    pub infos: Vec<Vec<NodeInfo>>,
+    /// Coded info slices per relay: `info_slices[stage][index][k]`.
+    pub info_slices: Vec<Vec<Vec<InfoSlice>>>,
+    /// Codec block length of the info slices.
+    pub info_block_len: usize,
 }
 
 /// Build a forwarding graph.
@@ -170,13 +188,15 @@ pub struct BuiltGraph {
 ///   node list, §7.1); must not contain `dest` or any pseudo-source.
 /// * `dest` — the destination's address; placed per
 ///   [`GraphParams::dest_placement`].
+///
+/// Returns the graph and its setup [`Blueprint`].
 pub fn build<R: Rng + ?Sized>(
     params: GraphParams,
     pseudo_sources: &[OverlayAddr],
     candidates: &[OverlayAddr],
     dest: OverlayAddr,
     rng: &mut R,
-) -> Result<BuiltGraph, GraphError> {
+) -> Result<(BuiltGraph, Blueprint), GraphError> {
     params.validate().map_err(GraphError::BadParams)?;
     let (l_len, d, dp) = (params.length, params.split, params.paths);
 
@@ -250,57 +270,42 @@ pub fn build<R: Rng + ?Sized>(
     let holders = Holders::generate(l_len, dp, rng);
     let data_offsets: Vec<usize> = (0..l_len).map(|_| rng.gen_range(0..dp)).collect();
 
-    let infos = assemble_infos(
-        &params,
-        &stages,
-        &flow_ids,
-        &reverse_flow_ids,
-        &keys,
-        &transforms,
-        &holders,
-        &data_offsets,
-        dest_stage,
-        dest_index,
-    );
-    let (info_slices, info_block_len) = slice_infos(&infos, d, dp, rng);
-
-    Ok(BuiltGraph {
+    let graph = BuiltGraph {
         params,
         dest: NodePosition {
             stage: dest_stage,
             index: dest_index,
         },
-        dest_key: keys[dest_stage][dest_index],
         stages,
         flow_ids,
         reverse_flow_ids,
-        infos,
+        keys,
         transforms,
-        info_slices,
         holders,
-        info_block_len,
         data_offsets,
-    })
+    };
+    let blueprint = slice_infos(assemble_infos(&graph), d, dp, rng);
+    Ok((graph, blueprint))
 }
 
-/// Assemble per-node infos for a graph whose node placement, keys, flow
-/// ids, transforms and slice-position bookkeeping are already fixed.
-/// Shared by initial construction and by [`rebuild_excluding`] (which
-/// changes only the entries at replaced positions and recomputes the
-/// rest from the same inputs).
-#[allow(clippy::too_many_arguments)] // internal assembly step over one graph's parts
-fn assemble_infos(
-    params: &GraphParams,
-    stages: &[Vec<OverlayAddr>],
-    flow_ids: &[Vec<FlowId>],
-    reverse_flow_ids: &[Vec<FlowId>],
-    keys: &[Vec<SymmetricKey>],
-    transforms: &[Vec<HopTransform>],
-    holders: &Holders,
-    data_offsets: &[usize],
-    dest_stage: usize,
-    dest_index: usize,
-) -> Vec<Vec<NodeInfo>> {
+/// Assemble every relay's [`NodeInfo`], `infos[stage][index]`
+/// (stage ≥ 1), from a graph's placement, keys, flow ids, transforms and
+/// slice-position bookkeeping. Draws no randomness, so
+/// [`rebuild_excluding`] can recompute the infos a graph sent and
+/// compare them with the repaired ones.
+fn assemble_infos(graph: &BuiltGraph) -> Vec<Vec<NodeInfo>> {
+    let BuiltGraph {
+        params,
+        stages,
+        flow_ids,
+        reverse_flow_ids,
+        keys,
+        transforms,
+        holders,
+        data_offsets,
+        ..
+    } = graph;
+    let (dest_stage, dest_index) = (graph.dest.stage, graph.dest.index);
     let (l_len, d, dp) = (params.length, params.split, params.paths);
     let mut infos: Vec<Vec<NodeInfo>> = vec![vec![]];
     for stage in 1..=l_len {
@@ -390,11 +395,11 @@ fn assemble_infos(
 
 /// Code every info blob into `d′` slices of `d` blocks each.
 fn slice_infos<R: Rng + ?Sized>(
-    infos: &[Vec<NodeInfo>],
+    infos: Vec<Vec<NodeInfo>>,
     d: usize,
     dp: usize,
     rng: &mut R,
-) -> (Vec<Vec<Vec<InfoSlice>>>, usize) {
+) -> Blueprint {
     let mut info_slices: Vec<Vec<Vec<InfoSlice>>> = vec![vec![]];
     let mut info_block_len = 0;
     for stage_infos in infos.iter().skip(1) {
@@ -413,7 +418,11 @@ fn slice_infos<R: Rng + ?Sized>(
         }
         info_slices.push(per_node);
     }
-    (info_slices, info_block_len)
+    Blueprint {
+        infos,
+        info_slices,
+        info_block_len,
+    }
 }
 
 /// Re-run Algorithm 1 after node failures, reusing everything that
@@ -425,9 +434,10 @@ fn slice_infos<R: Rng + ?Sized>(
 /// repair touches exactly the dead nodes and their direct neighbours
 /// (whose parent/child lists name the replacement).
 ///
-/// Returns the repaired graph plus the positions whose [`NodeInfo`]
-/// changed (the replacement itself and the dead node's neighbours);
-/// everything else is byte-identical and needs no re-establishment.
+/// Returns the repaired graph, its [`Blueprint`], and the positions
+/// whose [`NodeInfo`] changed (the replacement itself and the dead
+/// node's neighbours); everything else is byte-identical and needs no
+/// re-establishment.
 ///
 /// `dead` addresses not present in the graph are ignored. Reporting the
 /// destination or a pseudo-source dead is an error
@@ -438,7 +448,7 @@ pub fn rebuild_excluding<R: Rng + ?Sized>(
     dead: &HashSet<OverlayAddr>,
     replacements: &[OverlayAddr],
     rng: &mut R,
-) -> Result<(BuiltGraph, Vec<NodePosition>), GraphError> {
+) -> Result<(BuiltGraph, Blueprint, Vec<NodePosition>), GraphError> {
     let params = graph.params;
     let (l_len, d, dp) = (params.length, params.split, params.paths);
 
@@ -499,67 +509,29 @@ pub fn rebuild_excluding<R: Rng + ?Sized>(
     };
 
     // Carry everything over; re-key only the dead positions.
-    let mut stages = graph.stages.clone();
-    let mut flow_ids = graph.flow_ids.clone();
-    let mut reverse_flow_ids = graph.reverse_flow_ids.clone();
-    let mut transforms = graph.transforms.clone();
-    // Keys live inside the infos (the graph does not store them
-    // separately); recover the surviving ones from there.
-    let mut keys: Vec<Vec<SymmetricKey>> = vec![vec![]];
-    for stage_infos in graph.infos.iter().skip(1) {
-        keys.push(stage_infos.iter().map(|i| i.secret_key).collect());
-    }
+    let mut repaired = graph.clone();
     for &pos in &dead_positions {
         let addr = fresh_addrs.next().expect("count checked above");
-        stages[pos.stage][pos.index] = addr;
-        flow_ids[pos.stage][pos.index] = fresh_flow(rng);
-        reverse_flow_ids[pos.stage][pos.index] = fresh_flow(rng);
-        keys[pos.stage][pos.index] = SymmetricKey::random(rng);
-        transforms[pos.stage][pos.index] = HopTransform::random(rng);
+        repaired.stages[pos.stage][pos.index] = addr;
+        repaired.flow_ids[pos.stage][pos.index] = fresh_flow(rng);
+        repaired.reverse_flow_ids[pos.stage][pos.index] = fresh_flow(rng);
+        repaired.keys[pos.stage][pos.index] = SymmetricKey::random(rng);
+        repaired.transforms[pos.stage][pos.index] = HopTransform::random(rng);
     }
-
-    let infos = assemble_infos(
-        &params,
-        &stages,
-        &flow_ids,
-        &reverse_flow_ids,
-        &keys,
-        &transforms,
-        &graph.holders,
-        &graph.data_offsets,
-        graph.dest.stage,
-        graph.dest.index,
-    );
-    let (info_slices, info_block_len) = slice_infos(&infos, d, dp, rng);
+    let blueprint = slice_infos(assemble_infos(&repaired), d, dp, rng);
 
     // Affected = every position whose info changed (replacements plus
     // the dead nodes' direct parents and children).
+    let before = assemble_infos(graph);
     let mut affected = Vec::new();
-    for (stage, stage_infos) in infos.iter().enumerate().skip(1) {
+    for (stage, stage_infos) in blueprint.infos.iter().enumerate().skip(1) {
         for (v, info) in stage_infos.iter().enumerate() {
-            if *info != graph.infos[stage][v] {
+            if *info != before[stage][v] {
                 affected.push(NodePosition { stage, index: v });
             }
         }
     }
-
-    Ok((
-        BuiltGraph {
-            params,
-            dest: graph.dest,
-            dest_key: graph.dest_key,
-            stages,
-            flow_ids,
-            reverse_flow_ids,
-            infos,
-            transforms,
-            info_slices,
-            holders: graph.holders.clone(),
-            info_block_len,
-            data_offsets: graph.data_offsets.clone(),
-        },
-        affected,
-    ))
+    Ok((repaired, blueprint, affected))
 }
 
 /// Find the unique `(target index, slice index)` of stage `target_stage`
@@ -602,6 +574,11 @@ impl BuiltGraph {
     /// The destination's address.
     pub fn dest_addr(&self) -> OverlayAddr {
         self.addr(self.dest)
+    }
+
+    /// The destination's secret key (what the source encrypts data with).
+    pub fn dest_key(&self) -> &SymmetricKey {
+        &self.keys[self.dest.stage][self.dest.index]
     }
 
     /// Forward flow-id of a relay (stage ≥ 1).
@@ -681,7 +658,7 @@ mod tests {
         (0..n as u64).map(|i| OverlayAddr(base + i)).collect()
     }
 
-    fn build_graph(l: usize, d: usize, dp: usize, seed: u64) -> BuiltGraph {
+    fn build_graph(l: usize, d: usize, dp: usize, seed: u64) -> (BuiltGraph, Blueprint) {
         let mut rng = StdRng::seed_from_u64(seed);
         let params = GraphParams::new(l, d).with_paths(dp);
         let pseudo = addrs(10_000, dp);
@@ -692,7 +669,7 @@ mod tests {
     #[test]
     fn builds_and_validates() {
         for (l, d, dp) in [(3, 2, 2), (5, 2, 3), (8, 3, 3), (4, 2, 4), (1, 2, 2)] {
-            let g = build_graph(l, d, dp, 42 + l as u64);
+            let (g, _) = build_graph(l, d, dp, 42 + l as u64);
             g.validate().unwrap();
             assert_eq!(g.stages.len(), l + 1);
             assert!(g.stages.iter().all(|s| s.len() == dp));
@@ -701,7 +678,7 @@ mod tests {
 
     #[test]
     fn destination_present_once() {
-        let g = build_graph(5, 2, 3, 7);
+        let (g, bp) = build_graph(5, 2, 3, 7);
         let count = g
             .relay_addrs()
             .filter(|&a| a == OverlayAddr(1))
@@ -713,15 +690,15 @@ mod tests {
         for stage in 1..=5 {
             for v in 0..3 {
                 let is_dest = stage == g.dest.stage && v == g.dest.index;
-                assert_eq!(g.infos[stage][v].receiver, is_dest);
+                assert_eq!(bp.infos[stage][v].receiver, is_dest);
             }
         }
     }
 
     /// Positions whose info carries the reverse fan-in flag.
-    fn dest_parents(g: &BuiltGraph) -> Vec<NodePosition> {
+    fn dest_parents(bp: &Blueprint) -> Vec<NodePosition> {
         let mut out = Vec::new();
-        for (stage, infos) in g.infos.iter().enumerate().skip(1) {
+        for (stage, infos) in bp.infos.iter().enumerate().skip(1) {
             for (index, info) in infos.iter().enumerate() {
                 if info.dest_parent {
                     out.push(NodePosition { stage, index });
@@ -738,7 +715,7 @@ mod tests {
             let params = GraphParams::new(4, 2)
                 .with_paths(3)
                 .with_dest_placement(DestPlacement::Stage(dest_stage));
-            let g = build(
+            let (g, bp) = build(
                 params,
                 &addrs(10_000, 3),
                 &addrs(20_000, 20),
@@ -758,17 +735,17 @@ mod tests {
                     })
                     .collect()
             };
-            assert_eq!(dest_parents(&g), want, "dest at stage {dest_stage}");
+            assert_eq!(dest_parents(&bp), want, "dest at stage {dest_stage}");
 
             // Repair re-keys positions, never the destination's placement.
             let victim = g
                 .relay_addrs()
                 .find(|&a| a != g.dest_addr())
                 .expect("a non-destination relay");
-            let (g2, _) =
+            let (_, bp2, _) =
                 rebuild_excluding(&g, &[victim].into(), &addrs(90_000, 2), &mut rng).unwrap();
             assert_eq!(
-                dest_parents(&g2),
+                dest_parents(&bp2),
                 want,
                 "dest at stage {dest_stage}, repaired"
             );
@@ -780,7 +757,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let params = GraphParams::new(6, 2)
             .with_dest_placement(DestPlacement::LastStage);
-        let g = build(
+        let (g, _) = build(
             params,
             &addrs(10_000, 2),
             &addrs(20_000, 20),
@@ -792,7 +769,7 @@ mod tests {
 
         let params = GraphParams::new(6, 2)
             .with_dest_placement(DestPlacement::Stage(2));
-        let g = build(
+        let (g, _) = build(
             params,
             &addrs(10_000, 2),
             &addrs(20_000, 20),
@@ -841,10 +818,10 @@ mod tests {
 
     #[test]
     fn slice_maps_reference_valid_parents() {
-        let g = build_graph(6, 2, 3, 9);
+        let (_, bp) = build_graph(6, 2, 3, 9);
         for stage in 1..=6usize {
             for v in 0..3 {
-                let info = &g.infos[stage][v];
+                let info = &bp.infos[stage][v];
                 let out_real = info.out_real_slots as usize;
                 if stage == 6 {
                     assert_eq!(out_real, 0);
@@ -871,13 +848,13 @@ mod tests {
         // Each child must receive all d' distinct data slices: across its
         // parents v, the slice indices (v + j + h) they forward to child j
         // must be distinct.
-        let g = build_graph(5, 2, 3, 11);
+        let (g, bp) = build_graph(5, 2, 3, 11);
         let dp = 3usize;
         for stage in 1..5usize {
             for j in 0..dp {
                 let mut seen = HashSet::new();
                 for v in 0..dp {
-                    let parent_idx = g.infos[stage][v].data_map[j] as usize;
+                    let parent_idx = bp.infos[stage][v].data_map[j] as usize;
                     // Slice that v received from parent_idx:
                     let slice_idx = (parent_idx + v + g.data_offsets[stage - 1]) % dp;
                     assert!(seen.insert(slice_idx), "child {j} gets duplicate slice");
@@ -889,24 +866,24 @@ mod tests {
     #[test]
     fn info_slices_decode_back() {
         use slicing_codec::decode;
-        let g = build_graph(4, 2, 3, 13);
+        let (_, bp) = build_graph(4, 2, 3, 13);
         for stage in 1..=4usize {
             for v in 0..3 {
-                let decoded = decode(&g.info_slices[stage][v], 2).unwrap();
+                let decoded = decode(&bp.info_slices[stage][v], 2).unwrap();
                 let info = NodeInfo::decode(&decoded).unwrap();
-                assert_eq!(&info, &g.infos[stage][v]);
+                assert_eq!(&info, &bp.infos[stage][v]);
             }
         }
     }
 
     #[test]
     fn rebuild_replaces_only_the_dead_position() {
-        let g = build_graph(5, 2, 3, 23);
+        let (g, bp) = build_graph(5, 2, 3, 23);
         let victim = g.stages[2][1];
         let dead: HashSet<OverlayAddr> = [victim].into();
         let spares = addrs(90_000, 4);
         let mut rng = StdRng::seed_from_u64(99);
-        let (g2, affected) = rebuild_excluding(&g, &dead, &spares, &mut rng).unwrap();
+        let (g2, bp2, affected) = rebuild_excluding(&g, &dead, &spares, &mut rng).unwrap();
         g2.validate().unwrap();
         // The victim is gone; its position holds a spare.
         assert!(!g2.relay_addrs().any(|a| a == victim));
@@ -916,12 +893,14 @@ mod tests {
             for v in 0..3 {
                 if (stage, v) == (2, 1) {
                     assert_ne!(g2.flow_ids[2][1], g.flow_ids[2][1]);
-                    assert_ne!(g2.infos[2][1].secret_key, g.infos[2][1].secret_key);
+                    assert_ne!(g2.keys[2][1], g.keys[2][1]);
+                    assert_eq!(bp2.infos[2][1].secret_key, g2.keys[2][1]);
                     continue;
                 }
                 assert_eq!(g2.stages[stage][v], g.stages[stage][v]);
                 assert_eq!(g2.flow_ids[stage][v], g.flow_ids[stage][v]);
-                assert_eq!(g2.infos[stage][v].secret_key, g.infos[stage][v].secret_key);
+                assert_eq!(g2.keys[stage][v], g.keys[stage][v]);
+                assert_eq!(bp2.infos[stage][v].secret_key, g.keys[stage][v]);
             }
         }
         // Affected = the replacement plus the victim's parents (stage 1)
@@ -934,14 +913,14 @@ mod tests {
             );
         }
         // Unaffected infos are byte-identical (no re-establishment).
-        assert_eq!(g2.infos[4], g.infos[4]);
-        assert_eq!(g2.infos[5], g.infos[5]);
-        assert_eq!(g2.dest_key, g.dest_key);
+        assert_eq!(bp2.infos[4], bp.infos[4]);
+        assert_eq!(bp2.infos[5], bp.infos[5]);
+        assert_eq!(g2.dest_key(), g.dest_key());
     }
 
     #[test]
     fn rebuild_rejects_unrepairable_and_exhausted() {
-        let g = build_graph(4, 2, 2, 29);
+        let (g, _) = build_graph(4, 2, 2, 29);
         let mut rng = StdRng::seed_from_u64(1);
         // Destination is sacred.
         let err = rebuild_excluding(
@@ -995,9 +974,9 @@ mod tests {
     #[test]
     fn rebuild_infos_decode_back() {
         use slicing_codec::decode;
-        let g = build_graph(4, 2, 3, 31);
+        let (g, bp) = build_graph(4, 2, 3, 31);
         let mut rng = StdRng::seed_from_u64(5);
-        let (g2, _) = rebuild_excluding(
+        let (_, bp2, _) = rebuild_excluding(
             &g,
             &[g.stages[3][2]].into(),
             &addrs(90_000, 2),
@@ -1006,17 +985,17 @@ mod tests {
         .unwrap();
         for stage in 1..=4usize {
             for v in 0..3 {
-                let decoded = decode(&g2.info_slices[stage][v], 2).unwrap();
+                let decoded = decode(&bp2.info_slices[stage][v], 2).unwrap();
                 let info = NodeInfo::decode(&decoded).unwrap();
-                assert_eq!(&info, &g2.infos[stage][v]);
+                assert_eq!(&info, &bp2.infos[stage][v]);
             }
         }
-        assert_eq!(g2.info_block_len, g.info_block_len, "fixed-size encoding");
+        assert_eq!(bp2.info_block_len, bp.info_block_len, "fixed-size encoding");
     }
 
     #[test]
     fn holder_paths_are_consistent() {
-        let g = build_graph(5, 2, 3, 17);
+        let (g, _) = build_graph(5, 2, 3, 17);
         for l in 1..=5usize {
             for x in 0..3 {
                 for k in 0..3 {

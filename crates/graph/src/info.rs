@@ -208,7 +208,9 @@ impl NodeInfo {
         if bytes.len() != encoded_len(nslots, dp) {
             return Err(InfoError::BadLength);
         }
-        if d == 0 || d_prime < d || out_real as usize > nslots {
+        // d′ ≤ 64 as `GraphParams::validate` requires: relays keep
+        // per-neighbour state in 64-bit masks.
+        if d == 0 || d_prime < d || d_prime > 64 || out_real as usize > nslots {
             return Err(InfoError::Inconsistent);
         }
         let (body, tail) = bytes.split_at(bytes.len() - CHECKSUM_LEN);
@@ -424,6 +426,24 @@ mod tests {
             NodeInfo::decode(&reseal(forged)).unwrap_err(),
             InfoError::Inconsistent
         );
+    }
+
+    #[test]
+    fn more_than_64_neighbours_is_inconsistent() {
+        for (dp, want_ok) in [(64usize, true), (65, false)] {
+            let info = NodeInfo {
+                d_prime: dp as u8,
+                parents: (0..dp)
+                    .map(|i| (OverlayAddr(100 + i as u64), FlowId(200 + i as u64)))
+                    .collect(),
+                ..sample(false)
+            };
+            let decoded = NodeInfo::decode(&info.encode());
+            assert_eq!(decoded.is_ok(), want_ok, "d′ = {dp}");
+            if !want_ok {
+                assert_eq!(decoded, Err(InfoError::Inconsistent));
+            }
+        }
     }
 
     #[test]

@@ -25,7 +25,8 @@
 //!   fixed-size serialization.
 //! * [`build`] — graph construction (Algorithm 1) and path/slice-map
 //!   computation.
-//! * [`packets`] — emission of the setup packets the pseudo-sources send.
+//! * [`packets`] — emission of the setup packets the pseudo-sources send,
+//!   from a graph's transient [`Blueprint`].
 
 #![forbid(unsafe_code)]
 
@@ -36,6 +37,6 @@ pub mod packets;
 pub mod params;
 
 pub use addr::OverlayAddr;
-pub use build::{rebuild_excluding, BuiltGraph, GraphError, NodePosition};
+pub use build::{rebuild_excluding, Blueprint, BuiltGraph, GraphError, NodePosition};
 pub use info::{NodeInfo, SliceMapEntry};
 pub use params::{DataMode, DestPlacement, GraphParams};

@@ -20,7 +20,7 @@ proptest! {
                              extra in 0usize..3) {
         let dp = d + extra;
         let mut rng = StdRng::seed_from_u64(seed);
-        let g = build::build(
+        let (g, _) = build::build(
             GraphParams::new(l, d).with_paths(dp),
             &addrs(10_000, dp),
             &addrs(20_000, l * dp + 4),
@@ -36,7 +36,7 @@ proptest! {
     fn info_round_trips_from_any_subset(seed in any::<u64>(), l in 1usize..6) {
         let (d, dp) = (2usize, 3usize);
         let mut rng = StdRng::seed_from_u64(seed);
-        let g = build::build(
+        let (_, bp) = build::build(
             GraphParams::new(l, d).with_paths(dp),
             &addrs(10_000, dp),
             &addrs(20_000, l * dp + 4),
@@ -46,7 +46,7 @@ proptest! {
         for stage in 1..=l {
             for v in 0..dp {
                 for skip in 0..dp {
-                    let subset: Vec<_> = g.info_slices[stage][v]
+                    let subset: Vec<_> = bp.info_slices[stage][v]
                         .iter()
                         .enumerate()
                         .filter(|(k, _)| *k != skip)
@@ -54,7 +54,7 @@ proptest! {
                         .collect();
                     let bytes = slicing_codec::decode(&subset, d).unwrap();
                     let info = NodeInfo::decode(&bytes).unwrap();
-                    prop_assert_eq!(&info, &g.infos[stage][v]);
+                    prop_assert_eq!(&info, &bp.infos[stage][v]);
                 }
             }
         }
@@ -64,20 +64,20 @@ proptest! {
     #[test]
     fn setup_packets_shape(seed in any::<u64>(), l in 1usize..7, d in 2usize..4) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let g = build::build(
+        let (g, bp) = build::build(
             GraphParams::new(l, d),
             &addrs(10_000, d),
             &addrs(20_000, l * d + 4),
             OverlayAddr(1),
             &mut rng,
         ).unwrap();
-        let packets = g.setup_packets(&mut rng);
+        let packets = bp.setup_packets(&g);
         prop_assert_eq!(packets.len(), d * d);
         let len = packets[0].packet.encode().len();
         for p in &packets {
             prop_assert_eq!(p.packet.encode().len(), len);
             prop_assert!(build::BuiltGraph::parse_slot(
-                d, g.info_block_len, p.packet.slot(0)).is_some());
+                d, bp.info_block_len, p.packet.slot(0)).is_some());
         }
     }
 

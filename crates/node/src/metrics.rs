@@ -15,12 +15,14 @@
 //!
 //! Every relay/session counter is exported as
 //! `slicing_relay_<name>` / `slicing_session_<name>`; transport
-//! counters as `slicing_udp_<name>`; per-neighbour congestion-control
-//! state from [`slicing_overlay::cc`] as `slicing_cc_*{peer="..."}`
-//! gauges.
+//! counters as `slicing_udp_<name>`. Congestion control
+//! ([`slicing_overlay::cc`]) is exported in aggregate only — neighbours
+//! per controller state (`slicing_cc_peers{state}`) and a fixed log₂
+//! histogram of their allowed rates (`slicing_cc_rate_dps`) — so a
+//! scrape never names a relay's neighbours.
 
 use slicing_core::relay::RelayStatsAtomic;
-use slicing_graph::OverlayAddr;
+use slicing_overlay::cc::{CcSnapshot, CcState};
 use slicing_overlay::daemon::SessionHandle;
 use slicing_overlay::{PortSender, UdpNet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -76,7 +78,8 @@ impl RegistryBuilder {
         self
     }
 
-    /// Export per-neighbour congestion-control gauges from this port.
+    /// Export this port's congestion-control state, aggregated over its
+    /// neighbours.
     pub fn cc(mut self, port: PortSender) -> Self {
         self.cc = Some(port);
         self
@@ -118,9 +121,51 @@ pub fn process_rss_bytes() -> u64 {
     0
 }
 
-fn peer_label(addr: OverlayAddr) -> String {
-    let (ip, port) = addr.to_ipv4();
-    format!("{}.{}.{}.{}:{}", ip[0], ip[1], ip[2], ip[3], port)
+/// Upper bounds of the `slicing_cc_rate_dps` histogram buckets:
+/// powers of two from 1 Ki to 128 Ki datagrams per second, around the
+/// controller's default 2 000 – 64 000 range.
+const RATE_BUCKETS_LOG2: std::ops::RangeInclusive<u32> = 10..=17;
+
+/// Render congestion-control state aggregated over neighbours: how many
+/// sit in each controller state, and the distribution of their allowed
+/// rates. Takes the snapshots without their addresses, so no series can
+/// carry one.
+fn render_cc(out: &mut String, snapshots: impl Iterator<Item = CcSnapshot>) {
+    let states = [CcState::Normal, CcState::Rising, CcState::Congested];
+    let mut peers = [0u64; 3];
+    let mut buckets = [0u64; 8];
+    let (mut count, mut sum) = (0u64, 0.0f64);
+    for cc in snapshots {
+        if let Some(i) = states.iter().position(|&s| s == cc.state) {
+            peers[i] += 1;
+        }
+        for (bucket, log2) in buckets.iter_mut().zip(RATE_BUCKETS_LOG2) {
+            if cc.rate_dps <= (1u64 << log2) as f64 {
+                *bucket += 1;
+            }
+        }
+        count += 1;
+        sum += cc.rate_dps;
+    }
+    out.push_str("# TYPE slicing_cc_peers gauge\n");
+    for (state, n) in states.iter().zip(peers) {
+        out.push_str(&format!(
+            "slicing_cc_peers{{state=\"{}\"}} {n}\n",
+            state.as_str()
+        ));
+    }
+    out.push_str("# TYPE slicing_cc_rate_dps histogram\n");
+    for (n, log2) in buckets.iter().zip(RATE_BUCKETS_LOG2) {
+        out.push_str(&format!(
+            "slicing_cc_rate_dps_bucket{{le=\"{}\"}} {n}\n",
+            1u64 << log2
+        ));
+    }
+    out.push_str(&format!(
+        "slicing_cc_rate_dps_bucket{{le=\"+Inf\"}} {count}\n"
+    ));
+    out.push_str(&format!("slicing_cc_rate_dps_sum {sum:?}\n"));
+    out.push_str(&format!("slicing_cc_rate_dps_count {count}\n"));
 }
 
 impl Registry {
@@ -173,29 +218,7 @@ impl Registry {
             }
         }
         if let Some(port) = &self.inner.cc {
-            for (peer, cc) in port.cc_snapshots() {
-                let peer = peer_label(peer);
-                out.push_str(&format!(
-                    "slicing_cc_rate_dps{{peer=\"{peer}\"}} {:?}\n",
-                    cc.rate_dps
-                ));
-                out.push_str(&format!(
-                    "slicing_cc_tokens{{peer=\"{peer}\"}} {:?}\n",
-                    cc.tokens
-                ));
-                out.push_str(&format!(
-                    "slicing_cc_owd_ewma_us{{peer=\"{peer}\"}} {:?}\n",
-                    cc.owd_ewma_us
-                ));
-                out.push_str(&format!(
-                    "slicing_cc_base_owd_us{{peer=\"{peer}\"}} {:?}\n",
-                    cc.base_owd_us
-                ));
-                out.push_str(&format!(
-                    "slicing_cc_state{{peer=\"{peer}\",state=\"{}\"}} 1\n",
-                    cc.state.as_str()
-                ));
-            }
+            render_cc(&mut out, port.cc_snapshots().into_iter().map(|(_, cc)| cc));
         }
         out
     }
@@ -272,4 +295,46 @@ pub fn parse_exposition(text: &str) -> Vec<(String, f64)> {
             Some((name.to_string(), value.parse().ok()?))
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bytes::Bytes;
+    use slicing_overlay::testutil::wait_until;
+    use slicing_overlay::{UdpFaults, UdpNet};
+    use std::collections::HashMap;
+
+    /// A scrape reports congestion control in aggregate: it counts a
+    /// live neighbour, and no series names that neighbour's `ip:port`.
+    #[tokio::test]
+    async fn render_names_no_neighbour() {
+        let net = UdpNet::new(UdpFaults::default(), 1);
+        let a = net.attach().await.expect("attach");
+        let b = net.attach().await.expect("attach");
+        // B's delay feedback gives A a controller for B.
+        a.tx.send(b.addr, Bytes::copy_from_slice(b"ping")).await;
+        let snapshots = wait_until(|| a.tx.cc_snapshots(), |s| !s.is_empty()).await;
+        assert_eq!(snapshots.len(), 1, "one neighbour");
+        let text = RegistryBuilder::default().cc(a.tx.clone()).build().render();
+        let (ip, port) = b.addr.to_ipv4();
+        let label = format!("{}.{}.{}.{}:{}", ip[0], ip[1], ip[2], ip[3], port);
+        assert!(
+            !text.contains(&label),
+            "scrape names neighbour {label}:\n{text}"
+        );
+        assert!(
+            !text.contains(&format!(":{port}")),
+            "scrape names port {port}:\n{text}"
+        );
+        let series: HashMap<String, f64> = parse_exposition(&text).into_iter().collect();
+        let peers: f64 = ["normal", "rising", "congested"]
+            .iter()
+            .map(|s| series[&format!("slicing_cc_peers{{state=\"{s}\"}}")])
+            .sum();
+        assert_eq!(peers, 1.0);
+        assert_eq!(series["slicing_cc_rate_dps_count"], 1.0);
+        assert_eq!(series["slicing_cc_rate_dps_bucket{le=\"+Inf\"}"], 1.0);
+        assert!(text.lines().all(|l| !l.contains("peer=")));
+    }
 }

@@ -41,7 +41,7 @@ fn http_request(port: u16, request: &str, timeout: Duration) -> std::io::Result<
 }
 
 /// Scrape one metrics endpoint into `series → value`. Series names
-/// keep their label sets verbatim (`slicing_cc_rate_dps{peer="..."}`).
+/// keep their label sets verbatim (`slicing_cc_peers{state="normal"}`).
 pub fn scrape_metrics(port: u16, timeout: Duration) -> std::io::Result<HashMap<String, f64>> {
     let response = http_request(port, "GET /metrics HTTP/1.0\r\n\r\n", timeout)?;
     let body = response

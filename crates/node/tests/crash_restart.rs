@@ -1,8 +1,9 @@
-//! Crash-restart regression: SIGKILL a stage-2 relay *process* mid
-//! transfer. The session layer must detect the silent peer through the
-//! relay liveness protocol, repair the forwarding graph around it from
-//! a spare-process pool, and complete the stream byte-identically —
-//! over real UDP and over TCP. The killed process is then restarted
+//! Crash-restart regression: SIGKILL a stage-2 relay *process* of an
+//! established session just before its transfer starts. The session
+//! layer must detect the silent peer through the relay liveness
+//! protocol, repair the forwarding graph around it from a spare-process
+//! pool, and complete the stream byte-identically — over real UDP and
+//! over TCP. The killed process is then restarted
 //! and must come back healthy and scrapeable.
 //!
 //! This is the process-level twin of the in-process repair test in
@@ -147,12 +148,14 @@ async fn crash_restart(transport: TransportKind) {
             _ = &mut deadline => panic!("flow never established"),
         }
     }
+    // SIGKILL the victim process, then start the stream. Acks travel
+    // at forward speed, so a stream started first can finish inside
+    // any fixed delay before the kill and never need the repair this
+    // test is about. Killed first, the victim stalls the stream from
+    // its first chunk until failure detection and repair land.
+    fleet.kill(victim_idx);
     let payload: Vec<u8> = (0..96_000u32).map(|i| (i.wrapping_mul(131) % 251) as u8).collect();
     sessions.send(id, payload.clone()).await;
-
-    // SIGKILL the victim process mid-transfer.
-    tokio::time::sleep(Duration::from_millis(150)).await;
-    fleet.kill(victim_idx);
 
     // Nurse the session exactly like the soak driver: speculative
     // repairs from the pool of live processes until the ack lands.

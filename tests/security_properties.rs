@@ -6,7 +6,10 @@ use information_slicing::codec::{coder, encode};
 use information_slicing::core::testnet::TestNet;
 use information_slicing::core::{GraphParams, OverlayAddr, SourceSession};
 use information_slicing::gf::{Gf256, Matrix};
+use information_slicing::graph::build;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn addrs(base: u64, n: usize) -> Vec<OverlayAddr> {
     (0..n as u64).map(|i| OverlayAddr(base + i)).collect()
@@ -74,13 +77,14 @@ fn single_relay_cannot_decode_other_nodes_info() {
     let pseudo = addrs(10_000, d);
     let candidates = addrs(20_000, 20);
     let dest = OverlayAddr(1);
-    let (source, _setup) =
-        SourceSession::establish(GraphParams::new(l, d), &pseudo, &candidates, dest, 7).unwrap();
-    let graph = source.graph();
+    // The setup blueprint the source sends and forgets.
+    let mut rng = StdRng::seed_from_u64(7);
+    let (_, blueprint) =
+        build::build(GraphParams::new(l, d), &pseudo, &candidates, dest, &mut rng).unwrap();
     // A stage-2 node holds exactly one slice of each stage-3 node's info
     // (vertex-disjoint paths); one slice of a d=2 encoding is not enough:
     // by super-regularity *any* value of any byte remains consistent.
-    let target_slices = &graph.info_slices[3][0];
+    let target_slices = &blueprint.info_slices[3][0];
     let one = &target_slices[0];
     // Consistency check for three candidate values of byte 0 of block 0.
     for candidate in [0u8, 1, 255] {
@@ -106,8 +110,6 @@ proptest! {
         msg in proptest::collection::vec(any::<u8>(), 16..128),
         probe in any::<u8>(),
     ) {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
         let d = 4usize;
         let mut rng = StdRng::seed_from_u64(seed);
         let coded = encode(&msg, d, d, &mut rng);
@@ -166,8 +168,6 @@ proptest! {
 /// equal a plaintext block (super-regular generators have no unit rows).
 #[test]
 fn no_systematic_leak() {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     let mut rng = StdRng::seed_from_u64(9);
     let msg = vec![0x11u8; 300];
     for d in 2..=6 {
