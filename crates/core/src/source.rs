@@ -8,9 +8,11 @@
 //! through churn: sealed `FLOW_FAILED` reports from downstream relays
 //! accumulate in [`SourceSession::failed_nodes`], and
 //! [`SourceSession::repair`] re-runs Algorithm 1 around the dead nodes
-//! ([`build::rebuild_excluding`]), splices the new routes into the live
-//! flow with targeted re-setup packets, and retransmits the recent
-//! message window so nothing queued is lost.
+//! ([`build::rebuild_excluding`]) and splices the new routes into the
+//! live flow with targeted re-setup packets. What was in flight is
+//! resent by whoever holds it: the streaming window resends its own
+//! chunks, and drivers of raw messages hand the bytes back to
+//! [`SourceSession::retransmit`].
 //!
 //! The type is split along a durable/per-message seam:
 //!
@@ -20,15 +22,14 @@
 //!   its whole lifetime, and it is constant-size.
 //! * **Per-message machinery** is bounded and transient: the reverse
 //!   assembler (`ReverseAssembler` — capped gathers plus a
-//!   constant-space replay guard), the retransmission log (ring of
-//!   recent plaintexts), and the streaming window (`StreamState`,
-//!   driven through [`SourceSession::send`] /
-//!   [`SourceSession::pump`]). All of it
-//!   drains back to empty once traffic is acknowledged, which is what
+//!   constant-space replay guard) and the streaming window
+//!   (`StreamState`, driven through [`SourceSession::send`] /
+//!   [`SourceSession::pump`]). Both drain back to empty once traffic is
+//!   acknowledged, and raw sends keep no copy at all, which is what
 //!   lets a [`crate::session::SessionManager`] hold thousands of these
 //!   without per-message residue.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -54,10 +55,6 @@ pub struct SourceConfig {
     /// parents dead). Must stay below the relays'
     /// [`crate::RelayConfig::liveness_timeout_ms`]. `0` disables.
     pub keepalive_ms: u64,
-    /// Recent plaintexts kept for retransmission after a repair (the
-    /// destination's replay guard makes re-delivery at-most-once, so
-    /// retransmitting generously is safe).
-    pub retransmit_buffer: usize,
 }
 
 impl Default for SourceConfig {
@@ -65,7 +62,6 @@ impl Default for SourceConfig {
         SourceConfig {
             data_packet_budget: 1500,
             keepalive_ms: 10_000,
-            retransmit_buffer: 64,
         }
     }
 }
@@ -180,8 +176,6 @@ pub struct SourceSession {
     /// Relays reported dead (authenticated `FLOW_FAILED` reports) and
     /// not yet repaired around.
     failed: HashSet<OverlayAddr>,
-    /// Recent messages kept for retransmission after a repair.
-    sent_log: VecDeque<(u32, Vec<u8>)>,
     /// Last keepalive emission ([`SourceSession::poll`]).
     pub(crate) last_keepalive: Option<Tick>,
     /// Setup packets emitted over the session's lifetime (initial
@@ -230,7 +224,6 @@ impl SourceSession {
                 next_seq: 0,
                 reverse: ReverseAssembler::default(),
                 failed: HashSet::new(),
-                sent_log: VecDeque::new(),
                 last_keepalive: None,
                 setup_packets_sent: setup.len() as u64,
                 stream: StreamState::default(),
@@ -273,10 +266,10 @@ impl SourceSession {
     /// its sequence number and the packets to transmit (d′² of them, one
     /// per pseudo-source → stage-1 relay edge, §7.2).
     ///
-    /// The plaintext is also retained in a bounded retransmission window
-    /// ([`SourceConfig::retransmit_buffer`]) so a later
-    /// [`SourceSession::repair`] can replay messages that were in flight
-    /// when a relay died.
+    /// The session keeps no copy of the plaintext. A caller that wants
+    /// a message to survive loss or a relay's death keeps the bytes
+    /// itself and hands them to [`SourceSession::retransmit`] until it
+    /// sees the message delivered.
     ///
     /// Plaintexts larger than [`Self::max_chunk_len`] yield
     /// [`SessionError::Oversize`] — use the streaming
@@ -293,24 +286,25 @@ impl SourceSession {
         &mut self,
         plaintext: &[u8],
     ) -> Result<(u32, Vec<SendInstr>), SessionError> {
-        if plaintext.len() > self.max_chunk_len() {
+        self.check_fits(plaintext)?;
+        Ok(self.send_raw(plaintext))
+    }
+
+    /// [`SessionError::Oversize`] unless `plaintext` fits one chunk.
+    fn check_fits(&self, plaintext: &[u8]) -> Result<(), SessionError> {
+        let max = self.max_chunk_len();
+        if plaintext.len() > max {
             return Err(SessionError::Oversize {
                 len: plaintext.len(),
-                max: self.max_chunk_len(),
+                max,
             });
         }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.sent_log.push_back((seq, plaintext.to_vec()));
-        while self.sent_log.len() > self.config.retransmit_buffer {
-            self.sent_log.pop_front();
-        }
-        Ok((seq, self.encode_message(seq, plaintext)))
+        Ok(())
     }
 
     /// Allocate a sequence number and encode `plaintext` against the
-    /// current graph without touching the retransmission log — the
-    /// streaming window keeps its own copy of every in-flight chunk.
+    /// current graph (the streaming window keeps its own copy of every
+    /// in-flight chunk).
     pub(crate) fn send_raw(&mut self, plaintext: &[u8]) -> (u32, Vec<SendInstr>) {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -318,9 +312,8 @@ impl SourceSession {
     }
 
     /// Slice, encrypt and address `plaintext` as message `seq` against
-    /// the current graph (shared by fresh sends and repair
-    /// retransmissions — the destination's replay guard keeps repeated
-    /// seqs at-most-once).
+    /// the current graph (shared by fresh sends and retransmissions —
+    /// the destination's replay guard keeps repeated seqs at-most-once).
     pub(crate) fn encode_message(&mut self, seq: u32, plaintext: &[u8]) -> Vec<SendInstr> {
         let params = self.graph.params;
         let (d, dp) = (params.split, params.paths);
@@ -538,17 +531,19 @@ impl SourceSession {
 
     /// Re-run Algorithm 1 around the reported-dead relays
     /// ([`build::rebuild_excluding`]) and splice the new routes into the
-    /// live flow. Returns the packets to transmit:
+    /// live flow. Returns the targeted re-setup packets to transmit:
+    /// `d′` clean setup packets per *affected* relay only (the
+    /// replacements and the dead nodes' direct neighbours), sent
+    /// straight from the pseudo-sources. Survivors authenticate the
+    /// update against their flow's secret key and splice the new
+    /// neighbour lists in place; replacements establish as fresh flows.
+    /// Unaffected relays receive nothing.
     ///
-    /// * **Targeted re-setup** — `d′` clean setup packets per *affected*
-    ///   relay only (the replacements and the dead nodes' direct
-    ///   neighbours), sent straight from the pseudo-sources. Survivors
-    ///   authenticate the update against their flow's secret key and
-    ///   splice the new neighbour lists in place; replacements establish
-    ///   as fresh flows. Unaffected relays receive nothing.
-    /// * **Retransmissions** — the buffered recent messages re-encoded
-    ///   against the repaired graph (at-most-once at the destination via
-    ///   its replay guard).
+    /// Messages in flight through the dead relay are not resent here:
+    /// the streaming window retransmits its unacknowledged chunks, and
+    /// a driver of raw messages resends each one it has not seen
+    /// delivered through [`SourceSession::retransmit`], in the same
+    /// batch as these packets.
     ///
     /// `spares` are candidate replacement relays; addresses already in
     /// the graph (or themselves reported dead) are skipped.
@@ -602,31 +597,29 @@ impl SourceSession {
         // lazily from the new key set on the next report).
         self.dest_sealer = SealingKey::new(self.graph.dest_key());
         self.issued_sealers.clear();
-        // Replay the recent message window over the repaired routes.
-        let log: Vec<(u32, Vec<u8>)> = self.sent_log.iter().cloned().collect();
-        for (seq, plaintext) in log {
-            sends.extend(self.encode_message(seq, &plaintext));
-        }
         Ok(sends)
     }
 
-    /// Re-encode and re-address a recent message (fresh coded slices
-    /// over the *current* graph). `None` if `seq` has aged out of the
-    /// retransmission window.
+    /// Re-encode and re-address message `seq` from the `plaintext` the
+    /// caller kept (fresh coded slices over the *current* graph). The
+    /// session never stored it, so the caller must pass the bytes it
+    /// first sent under `seq`; like [`SourceSession::send_message`] it
+    /// refuses a plaintext over [`Self::max_chunk_len`] with
+    /// [`SessionError::Oversize`].
     ///
     /// Drivers use this to retry messages the destination has not
     /// acknowledged — e.g. a message whose slices were in flight through
-    /// a relay when it died, or a retransmission that raced a gather's
-    /// duplicate-suppression window. Delivery stays at-most-once (the
-    /// destination's replay guard).
-    pub fn retransmit(&mut self, seq: u32) -> Option<Vec<SendInstr>> {
-        let plaintext = self
-            .sent_log
-            .iter()
-            .find(|(s, _)| *s == seq)?
-            .1
-            .clone();
-        Some(self.encode_message(seq, &plaintext))
+    /// a relay when it died (resend it after
+    /// [`repair`](SourceSession::repair)), or a retransmission that
+    /// raced a gather's duplicate-suppression window. Delivery stays
+    /// at-most-once (the destination's replay guard).
+    pub fn retransmit(
+        &mut self,
+        seq: u32,
+        plaintext: &[u8],
+    ) -> Result<Vec<SendInstr>, SessionError> {
+        self.check_fits(plaintext)?;
+        Ok(self.encode_message(seq, plaintext))
     }
 
     /// All addresses this session's pseudo-sources use.
@@ -707,6 +700,23 @@ mod tests {
         // The session stays usable — no seq was consumed.
         let (seq, _) = s.send_message(b"still fine").unwrap();
         assert_eq!(seq, 0);
+    }
+
+    #[test]
+    fn retransmit_reencodes_the_callers_bytes_under_the_same_seq() {
+        let (mut s, _) = session(4, 2, 3);
+        let (seq, first) = s.send_message(b"hello").unwrap();
+        let again = s.retransmit(seq, b"hello").unwrap();
+        assert_eq!(again.len(), first.len());
+        assert!(again.iter().all(|x| x.packet.header.seq == seq));
+        let max = s.max_chunk_len();
+        assert_eq!(
+            s.retransmit(seq, &vec![0u8; max + 1]).unwrap_err(),
+            crate::session::SessionError::Oversize { len: max + 1, max },
+        );
+        // Retransmissions consume no seq.
+        let (next, _) = s.send_message(b"world").unwrap();
+        assert_eq!(next, seq + 1);
     }
 
     #[test]

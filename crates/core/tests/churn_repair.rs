@@ -125,8 +125,17 @@ fn repair_completes_no_redundancy(shards: usize) {
         })
         .collect();
     assert_eq!(unaffected.len(), (l - 3) * dp + 1, "sibling + stages 4, 5");
-    let sends = source.repair(&spares).unwrap();
+    let mut sends = source.repair(&spares).unwrap();
     assert!(!source.needs_repair());
+    // The driver resends every message it sent, in seq order, in the
+    // same batch as the re-setup packets.
+    for m in 0..4u32 {
+        sends.extend(
+            source
+                .retransmit(m, format!("msg {m}").as_bytes())
+                .expect("within chunk budget"),
+        );
+    }
     net.submit(sends);
     net.settle(Some(&mut source), 400, 12);
 

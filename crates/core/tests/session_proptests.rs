@@ -60,7 +60,6 @@ fn round_trip(
     source.set_config(SourceConfig {
         data_packet_budget: 256,
         keepalive_ms: 0,
-        ..SourceConfig::default()
     });
     let g = source.graph();
     // Everything the destination side reports is keyed by the receiver

@@ -1,15 +1,17 @@
 //! Wire fingerprints of seeded sessions: every setup, data and control
 //! packet a [`TestNet`] run moves, folded into one FNV-1a digest
 //! ([`TestNet::wire_digest`]). The pinned values were recorded before
-//! the source stopped keeping its setup blueprint and the relays moved
-//! their data gathers into seq-indexed stores; a change to how state is
-//! held must leave every byte on the wire and every seeded RNG draw as
-//! it was, and these digests say so at a glance.
+//! the source stopped keeping its setup blueprint and its plaintext
+//! retransmission log, and before the relays moved their data gathers
+//! into seq-indexed stores; a change to how state is held must leave
+//! every byte on the wire and every seeded RNG draw as it was, and
+//! these digests say so at a glance.
 //!
 //! Each run covers establishment, forward data on completion and on
 //! timeout, reverse replies, keepalives, a relay kill with its sealed
 //! `FLOW_FAILED` report, the source's repair (rebuild, targeted
-//! re-setup, window replay) and traffic over the repaired graph.
+//! re-setup) with the driver resending every message it sent, and
+//! traffic over the repaired graph.
 
 use std::collections::HashSet;
 
@@ -51,16 +53,21 @@ fn digest(l: usize, d: usize, dp: usize, mode: DataMode, seed: u64) -> u64 {
     net.submit(setup);
     net.run_to_quiescence(Some(&mut source));
 
+    // Every plaintext sent before the repair, in seq order: the driver
+    // resends them over the repaired graph.
+    let mut sent: Vec<Vec<u8>> = Vec::new();
     // Healthy traffic of a few sizes.
     for m in 0..6usize {
         let msg = vec![m as u8; 1 + 97 * m];
         let (_, sends) = source.send_message(&msg).unwrap();
+        sent.push(msg);
         net.submit(sends);
         net.run_to_quiescence(Some(&mut source));
     }
     // One message whose first stage-1 relay hears only some parents:
     // its gathers flush on the deadline.
     let (_, sends) = source.send_message(b"partial").unwrap();
+    sent.push(b"partial".to_vec());
     let first = source.graph().stages[1][0];
     let from0 = source.graph().stages[0][0];
     net.submit(
@@ -93,6 +100,7 @@ fn digest(l: usize, d: usize, dp: usize, mode: DataMode, seed: u64) -> u64 {
     let victim = source.graph().stages[2][0];
     net.fail(victim);
     let (_, sends) = source.send_message(b"in flight at the kill").unwrap();
+    sent.push(b"in flight at the kill".to_vec());
     net.submit(sends);
     net.settle(Some(&mut source), 400, 12);
     assert_eq!(source.failed_nodes(), &HashSet::from([victim]));
@@ -101,7 +109,10 @@ fn digest(l: usize, d: usize, dp: usize, mode: DataMode, seed: u64) -> u64 {
         .into_iter()
         .filter(|a| !placed.contains(a) && *a != victim)
         .collect();
-    let sends = source.repair(&spares).unwrap();
+    let mut sends = source.repair(&spares).unwrap();
+    for (seq, msg) in sent.iter().enumerate() {
+        sends.extend(source.retransmit(seq as u32, msg).unwrap());
+    }
     net.submit(sends);
     net.run_to_quiescence(Some(&mut source));
     for m in 0..3usize {

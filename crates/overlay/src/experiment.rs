@@ -3,7 +3,7 @@
 //! onion baseline, over either transport, plus the multi-flow scaling
 //! driver.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -817,7 +817,8 @@ pub struct ChurnSessionConfig {
     /// reliability layer over the fire-and-forget data plane; delivery
     /// stays at-most-once via the destination's replay guard). Must
     /// exceed the relays' gather quarantine (`2 × data_flush_ms`) or
-    /// retries are eaten as duplicates. `None` sends each message once.
+    /// retries are eaten as duplicates. `None` resends a message only
+    /// over the new routes of a repair.
     pub retransmit_interval: Option<Duration>,
     /// Spare relays attached beyond the graph's need (the repair pool).
     pub spares: usize,
@@ -992,7 +993,7 @@ pub async fn run_churn_session(cfg: &ChurnSessionConfig) -> ChurnSessionReport {
     let data_start = Instant::now();
     let hard_deadline = data_start + cfg.timeout;
     let mut delivered: HashSet<u32> = HashSet::new();
-    let mut sent_at: HashMap<u32, Instant> = HashMap::new();
+    let mut sent_at: BTreeMap<u32, Instant> = BTreeMap::new();
     let mut ticker = tokio::time::interval(Duration::from_millis(25));
     loop {
         if delivered.len() >= cfg.messages || Instant::now() >= hard_deadline {
@@ -1039,30 +1040,12 @@ pub async fn run_churn_session(cfg: &ChurnSessionConfig) -> ChurnSessionReport {
                     sent_at.insert(seq, Instant::now());
                     report.messages_sent += 1;
                 }
-                // Reliability layer: retry undelivered messages on a
-                // cadence longer than the relays' gather quarantine.
-                if let Some(interval) = cfg.retransmit_interval {
-                    let now_i = Instant::now();
-                    let due: Vec<u32> = sent_at
-                        .iter()
-                        .filter(|(seq, at)| {
-                            !delivered.contains(seq)
-                                && now_i.duration_since(**at) >= interval
-                        })
-                        .map(|(&seq, _)| seq)
-                        .collect();
-                    for seq in due {
-                        if let Some(sends) = source.retransmit(seq) {
-                            transmit(&pseudo_send, sends).await;
-                        }
-                        sent_at.insert(seq, now_i);
-                    }
-                }
                 // Source-side periodic work: keepalives, then repair.
                 let polled = source.poll(now_tick(epoch));
                 if !polled.is_empty() {
                     transmit(&pseudo_send, polled).await;
                 }
+                let mut repaired = false;
                 if cfg.repair && source.needs_repair() {
                     let before: HashSet<OverlayAddr> = source.graph().relay_addrs().collect();
                     let pool: Vec<OverlayAddr> = candidate_addrs
@@ -1094,6 +1077,22 @@ pub async fn run_churn_session(cfg: &ChurnSessionConfig) -> ChurnSessionReport {
                             kills.sort_by_key(|&(t, _)| t);
                         }
                         transmit(&pseudo_send, sends).await;
+                        repaired = true;
+                    }
+                }
+                // Reliability layer, in seq order: every undelivered
+                // message over a fresh repair's routes, otherwise those
+                // whose retry is due (a cadence longer than the relays'
+                // gather quarantine).
+                let now_i = Instant::now();
+                for (&seq, at) in sent_at.iter_mut() {
+                    let due = cfg
+                        .retransmit_interval
+                        .is_some_and(|interval| now_i.duration_since(*at) >= interval);
+                    if !delivered.contains(&seq) && (repaired || due) {
+                        let sends = source.retransmit(seq, &payload);
+                        transmit(&pseudo_send, sends.expect("payload clamped to budget")).await;
+                        *at = now_i;
                     }
                 }
             }
